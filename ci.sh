@@ -27,6 +27,15 @@ cargo build --release --workspace
 step "cargo test -q --workspace"
 cargo test -q --workspace
 
+# Every test binary registers each test name once (a test registered
+# twice runs twice, concurrently, on identical inputs). Listing runs no
+# tests; the awk resets its name set at each binary's banner.
+step "no test binary lists a duplicate test name"
+cargo test --workspace -- --list --format terse 2>&1 \
+    | awk '/Running|Doc-tests/ { delete seen }
+           /: test$/ { if (seen[$0]++) { print "duplicate test: " $0; bad = 1 } }
+           END { exit bad }'
+
 # Seeded multi-fault chaos smoke: a tiny deterministic campaign (a few
 # hundred milliseconds on the release build from step 1) that degrades
 # the distributed machine by random fault combinations and asserts the
@@ -45,19 +54,23 @@ cargo test -q --release -p csched-eval --test explain_grid -- --include-ignored
 
 # Golden byte-identity for the full paper grid: every kernel ×
 # organisation cell must schedule to exactly the pinned
-# (II, copies, attempts) triple — any drift in a candidate order,
-# tie-break, or table admission fails here even if the schedule stays
-# valid. Ignored under the debug profile (minutes); seconds on release.
-step "golden (II, copies, attempts) triples on the full grid (release)"
+# (II, copies, attempts) triple and whole-schedule digest (placements,
+# stubs, routes, copies) — any drift in a candidate order, tie-break, or
+# table admission fails here even if the schedule stays valid. Ignored
+# under the debug profile (minutes); seconds on release.
+step "golden triples and schedule digests on the full grid (release)"
 cargo test -q --release -p csched-eval --test grid_golden -- --include-ignored
 
-# Perf-regression bench smoke: re-measure a small kernel×arch grid and
-# diff it against the committed baseline. Deterministic fields (ok, II,
-# copies, attempts) must match exactly; wall clock is advisory because
-# the baseline was recorded on different hardware.
+# Perf-regression bench smoke: re-measure a kernel×arch grid that holds
+# the slowest paper-grid cells (FIR-INT and FIR-FP on distributed, Sort
+# on clustered-4) and diff it against the committed baseline.
+# Deterministic fields (ok, II, copies, attempts) must match exactly;
+# wall clock is advisory because the baseline was recorded on different
+# hardware.
 step "bench smoke vs BENCH_baseline.json"
 cargo run -q --release -p csched-eval --bin bench-json -- \
-    --label ci --reps 2 --kernels FFT,Merge,DCT --archs central,distributed
+    --label ci --reps 2 --kernels FFT,Merge,DCT,FIR-INT,FIR-FP,Sort \
+    --archs central,clustered4,distributed
 cargo run -q --release -p csched-eval --bin bench-json -- \
     --compare BENCH_baseline.json BENCH_ci.json
 

@@ -39,7 +39,11 @@
 //!   total order (a `(port, bus)` pair identifies a stub uniquely);
 //! - the permutation searches, closing lists, and revision scans run in
 //!   reusable scratch buffers (`Scratch`) that keep their capacity across
-//!   attempts.
+//!   attempts;
+//! - every stub search resolves its table row once and claims through the
+//!   row-resolved [`ResourceTable`] methods, and the full re-permutations
+//!   collect their participants from per-row buckets of the placed
+//!   operations (`RowBuckets`) instead of scanning the whole universe.
 //!
 //! Any change here must preserve *schedule identity*: identical candidate
 //! sets, identical orderings, identical tiebreaks — see the invariants in
@@ -136,11 +140,13 @@ struct Scratch {
 }
 
 /// Buffers for one read-stub permutation (participants, §4.4 ordering,
-/// flattened candidate lists, and the backtracking state).
+/// flattened candidate lists, and the backtracking state). A participant
+/// is a consumer operand `(op, slot)`; every participant issues on the
+/// search's row, which is resolved once per search.
 #[derive(Default)]
 struct RPermBufs {
-    participants: Vec<(SOpId, usize, i64)>,
-    keyed: Vec<(i64, usize, (SOpId, usize, i64))>,
+    participants: Vec<(SOpId, usize)>,
+    keyed: Vec<(i64, usize, (SOpId, usize))>,
     scored: Vec<(i64, ReadStub)>,
     cand: Vec<ReadStub>,
     ranges: Vec<(u32, u32)>,
@@ -148,21 +154,52 @@ struct RPermBufs {
     chosen: Vec<Option<ReadStub>>,
 }
 
-/// A write-permutation participant: the communication, its completion
-/// cycle, and the producing unit.
-type WParticipant = (CommId, i64, FuId);
+/// A write-permutation participant: the communication, its producer, and
+/// the producing unit's output fanout. Every participant completes on the
+/// search's row, which is resolved once per search.
+type WParticipant = (CommId, SOpId, usize);
 
 /// Buffers for one write-stub permutation.
 #[derive(Default)]
 struct WPermBufs {
     participants: Vec<WParticipant>,
-    keyed: Vec<(i64, i64, u32, WParticipant)>,
+    keyed: Vec<(u8, i64, u32, WParticipant)>,
     /// `(score, rotated port, port-run index)` per candidate port run.
     scored: Vec<(i64, u32, u32)>,
     cand: Vec<WriteStub>,
     ranges: Vec<(u32, u32)>,
     pos: Vec<usize>,
     chosen: Vec<Option<WriteStub>>,
+}
+
+/// Placed operations of one block bucketed by table row (see
+/// [`Engine::row_key`]), each bucket in placement order. Placement
+/// pushes and the journal's LIFO rollback pops, so a bucket always lists
+/// exactly the placed operations on its row.
+#[derive(Clone, Debug)]
+struct RowBuckets(Vec<Vec<SOpId>>);
+
+impl RowBuckets {
+    fn new(rows: usize) -> Self {
+        RowBuckets(vec![Vec::new(); rows])
+    }
+
+    fn push(&mut self, key: usize, op: SOpId) {
+        if self.0.len() <= key {
+            self.0.resize(key + 1, Vec::new());
+        }
+        self.0[key].push(op);
+    }
+
+    /// Removes `op`, the most recent entry of its bucket.
+    fn pop(&mut self, key: usize, op: SOpId) {
+        let popped = self.0.get_mut(key).and_then(Vec::pop);
+        debug_assert_eq!(popped, Some(op), "row bucket out of journal order");
+    }
+
+    fn get(&self, key: usize) -> &[SOpId] {
+        self.0.get(key).map_or(&[], Vec::as_slice)
+    }
 }
 
 /// The scheduling engine. See the module docs.
@@ -176,6 +213,15 @@ pub struct Engine<'a> {
     pub(crate) universe: Universe,
     tables: Vec<ResourceTable>,
     placements: Vec<Option<ScheduledOp>>,
+    /// Placed operations per block, bucketed by the table row of their
+    /// issue cycle: the full read permutation collects its participants
+    /// from one bucket instead of scanning every operation.
+    issue_rows: Vec<RowBuckets>,
+    /// Placed operations per block, bucketed by the table row of their
+    /// completion cycle: the full write permutation collects its
+    /// participants from one bucket instead of scanning every
+    /// communication.
+    completion_rows: Vec<RowBuckets>,
     comm_info: Vec<CommInfo>,
     /// Chosen read stub per consumer operand (shared by the operand's
     /// communications).
@@ -282,6 +328,11 @@ impl<'a> Engine<'a> {
         let num_ops = universe.num_ops();
         let num_operands: usize = universe.ops.iter().map(|o| o.num_operands).sum();
         let num_comms = universe.num_comms();
+        let row_buckets: Vec<RowBuckets> = kernel
+            .blocks()
+            .iter()
+            .map(|b| RowBuckets::new(if b.is_loop() { ii.max(1) as usize } else { 0 }))
+            .collect();
         Engine {
             arch,
             kernel,
@@ -290,6 +341,8 @@ impl<'a> Engine<'a> {
             universe,
             tables,
             placements: vec![None; num_ops],
+            issue_rows: row_buckets.clone(),
+            completion_rows: row_buckets,
             comm_info: vec![CommInfo::default(); num_comms],
             operand_stub: vec![None; num_operands],
             operand_frozen: vec![false; num_operands],
@@ -432,6 +485,11 @@ impl<'a> Engine<'a> {
                 Undo::Place(op) => {
                     if let Some(p) = self.placements[op.index()] {
                         self.fu_load[p.fu.index()] -= 1;
+                        let block = self.block_of(op);
+                        let issue = self.row_key(block, p.cycle);
+                        let completion = self.row_key(block, p.completion());
+                        self.issue_rows[block.index()].pop(issue, op);
+                        self.completion_rows[block.index()].pop(completion, op);
                     }
                     self.placements[op.index()] = None;
                 }
@@ -502,6 +560,18 @@ impl<'a> Engine<'a> {
             a.rem_euclid(self.ii as i64) == b.rem_euclid(self.ii as i64)
         } else {
             a == b
+        }
+    }
+
+    /// Bucket of `cycle` in a [`RowBuckets`]: the table row (`cycle mod
+    /// II` in the loop block, the cycle itself elsewhere).
+    /// A negative straight-line cycle — which no placement reaches —
+    /// shares bucket 0; bucket readers re-check the row exactly.
+    fn row_key(&self, block: BlockId, cycle: i64) -> usize {
+        if self.is_loop_block(block) {
+            cycle.rem_euclid(self.ii as i64) as usize
+        } else {
+            cycle.max(0) as usize
         }
     }
 
@@ -708,6 +778,10 @@ impl<'a> Engine<'a> {
             latency: cap.latency,
         });
         self.fu_load[fu.index()] += 1;
+        let issue = self.row_key(block, cycle);
+        let completion = self.row_key(block, cycle + cap.latency as i64 - 1);
+        self.issue_rows[block.index()].push(issue, op);
+        self.completion_rows[block.index()].push(completion, op);
 
         // Fast path: choose stubs only for the new operation against the
         // existing claims. If any of steps 2-5 then fails, fall back to the
@@ -777,7 +851,7 @@ impl<'a> Engine<'a> {
 
     /// Collects participants for [`Engine::permute_reads`]: non-frozen
     /// operands of `o` with at least one unclosed communication.
-    fn read_participants_of(&self, o: SOpId, cycle: i64, out: &mut Vec<(SOpId, usize, i64)>) {
+    fn read_participants_of(&self, o: SOpId, out: &mut Vec<(SOpId, usize)>) {
         for slot in 0..self.universe.op(o).num_operands {
             let idx = self.universe.operand_index(o, slot);
             if self.operand_frozen[idx] {
@@ -790,7 +864,7 @@ impl<'a> Engine<'a> {
             if comms.iter().all(|&c| self.comm_closed(c)) {
                 continue;
             }
-            out.push((o, slot, cycle));
+            out.push((o, slot));
         }
     }
 
@@ -802,44 +876,45 @@ impl<'a> Engine<'a> {
         bufs: &mut RPermBufs,
     ) -> bool {
         // Participants: non-frozen operands of ops placed in `block` whose
-        // issue shares this row, having at least one unclosed communication,
-        // each carrying its operation's issue cycle. With `only`, restrict
-        // to that operation's operands (fast path: skip the full op scan).
+        // issue shares this row, having at least one unclosed communication.
+        // With `only`, restrict to that operation's operands (fast path).
         bufs.participants.clear();
         match only {
             Some(o) => {
                 if self.block_of(o) == block {
                     if let Some(p) = self.placements[o.index()] {
                         if self.same_row(block, p.cycle, cycle) {
-                            self.read_participants_of(o, p.cycle, &mut bufs.participants);
+                            self.read_participants_of(o, &mut bufs.participants);
                         }
                     }
                 }
             }
             None => {
-                for o in self.universe.op_ids() {
-                    if self.block_of(o) != block {
-                        continue;
+                // The ops issued on this row, in placement order; sorting
+                // restores operation order, which the §4.4 ordering below
+                // uses as its tiebreak.
+                let key = self.row_key(block, cycle);
+                for &o in self.issue_rows[block.index()].get(key) {
+                    let issued = self.placements[o.index()].map(|p| p.cycle);
+                    if issued.is_some_and(|c| self.same_row(block, c, cycle)) {
+                        self.read_participants_of(o, &mut bufs.participants);
                     }
-                    let Some(p) = self.placements[o.index()] else {
-                        continue;
-                    };
-                    if !self.same_row(block, p.cycle, cycle) {
-                        continue;
-                    }
-                    self.read_participants_of(o, p.cycle, &mut bufs.participants);
                 }
+                bufs.participants.sort_unstable();
             }
         }
         if bufs.participants.is_empty() {
             return true;
         }
+        let Some(row) = self.tables[block.index()].claim_row(cycle) else {
+            return false; // a negative straight-line cycle admits no claim
+        };
 
         // Release current tentative stubs.
-        for &(o, slot, pcycle) in &bufs.participants {
+        for &(o, slot) in &bufs.participants {
             let idx = self.universe.operand_index(o, slot);
             if let Some(stub) = self.operand_stub[idx] {
-                self.tables[block.index()].unplace_read_stub(pcycle, stub, o, slot);
+                self.tables[block.index()].unplace_read_stub_in(row, stub, o, slot);
                 self.set_operand(idx, None, false);
             }
         }
@@ -848,9 +923,9 @@ impl<'a> Engine<'a> {
         // range first (§4.4).
         if self.config.closing_first {
             bufs.keyed.clear();
-            for (i, &(o, slot, pcycle)) in bufs.participants.iter().enumerate() {
+            for (i, &(o, slot)) in bufs.participants.iter().enumerate() {
                 let key = self.operand_search_key(o, slot);
-                bufs.keyed.push((key, i, (o, slot, pcycle)));
+                bufs.keyed.push((key, i, (o, slot)));
             }
             bufs.keyed.sort_unstable();
             bufs.participants.clear();
@@ -863,7 +938,7 @@ impl<'a> Engine<'a> {
         bufs.cand.clear();
         bufs.ranges.clear();
         for i in 0..bufs.participants.len() {
-            let (o, slot, _) = bufs.participants[i];
+            let (o, slot) = bufs.participants[i];
             let start = bufs.cand.len() as u32;
             self.read_candidates_into(o, slot, &mut bufs.scored, &mut bufs.cand);
             bufs.ranges.push((start, bufs.cand.len() as u32));
@@ -876,9 +951,10 @@ impl<'a> Engine<'a> {
         bufs.pos.resize(n, 0);
         bufs.chosen.clear();
         bufs.chosen.resize(n, None);
+        let table = &mut self.tables[block.index()];
         let mut i = 0usize;
         while i < n {
-            let (o, slot, pcycle) = bufs.participants[i];
+            let (o, slot) = bufs.participants[i];
             let (start, end) = bufs.ranges[i];
             let ncand = (end - start) as usize;
             let mut advanced = false;
@@ -888,7 +964,7 @@ impl<'a> Engine<'a> {
                 }
                 budget -= 1;
                 let stub = bufs.cand[start as usize + bufs.pos[i]];
-                if self.tables[block.index()].place_read_stub(pcycle, stub, o, slot) {
+                if table.place_read_stub_in(row, stub, o, slot) {
                     bufs.chosen[i] = Some(stub);
                     advanced = true;
                     break;
@@ -905,19 +981,19 @@ impl<'a> Engine<'a> {
                     return false;
                 }
                 i -= 1;
-                let (po, pslot, ppcycle) = bufs.participants[i];
+                let (po, pslot) = bufs.participants[i];
                 let Some(stub) = bufs.chosen[i].take() else {
                     return self.fail_internal(
                         "permute_reads",
                         format!("backtracked to {po} slot {pslot} with no chosen stub"),
                     );
                 };
-                self.tables[block.index()].unplace_read_stub(ppcycle, stub, po, pslot);
+                table.unplace_read_stub_in(row, stub, po, pslot);
                 bufs.pos[i] += 1;
             }
         }
         for k in 0..n {
-            let (o, slot, _) = bufs.participants[k];
+            let (o, slot) = bufs.participants[k];
             let idx = self.universe.operand_index(o, slot);
             self.set_operand(idx, bufs.chosen[k], false);
             if let Some(stub) = bufs.chosen[k] {
@@ -1011,13 +1087,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Whether `cid` participates in a write permutation on `completion`'s
-    /// row of `block`; returns the producer's completion cycle and unit.
+    /// row of `block`; returns the participant.
     fn write_participant(
         &self,
         cid: CommId,
         block: BlockId,
         completion: i64,
-    ) -> Option<(CommId, i64, FuId)> {
+    ) -> Option<WParticipant> {
         if self.comm_closed(cid) || self.comm_info[cid.index()].wstub_frozen {
             return None;
         }
@@ -1029,7 +1105,7 @@ impl<'a> Engine<'a> {
         if !self.same_row(block, p.completion(), completion) {
             return None;
         }
-        Some((cid, p.completion(), p.fu))
+        Some((cid, c.producer, self.arch.fu(p.fu).output_fanout()))
     }
 
     fn permute_writes_inner(
@@ -1039,11 +1115,13 @@ impl<'a> Engine<'a> {
         only: Option<SOpId>,
         bufs: &mut WPermBufs,
     ) -> bool {
-        // Each participant carries its producer's completion cycle and unit
-        // (captured while the placement is known to exist). With `only`,
-        // walk just that producer's outgoing communications (fast path) —
-        // `comms_from` lists them in ascending id order, matching the full
-        // `comm_ids` scan.
+        // Participants: the open, unfrozen communications whose producer
+        // completes on this row, in communication-id order. With `only`,
+        // walk just that producer's outgoing communications (fast path;
+        // `comms_from` lists them in ascending id order); otherwise the
+        // communications of the producers placed on the row, sorted back
+        // into id order since the bucket lists producers in placement
+        // order.
         bufs.participants.clear();
         match only {
             Some(o) => {
@@ -1054,23 +1132,30 @@ impl<'a> Engine<'a> {
                 }
             }
             None => {
-                for cid in self.universe.comm_ids() {
-                    if let Some(part) = self.write_participant(cid, block, completion) {
-                        bufs.participants.push(part);
+                let key = self.row_key(block, completion);
+                for &o in self.completion_rows[block.index()].get(key) {
+                    for &cid in self.universe.comms_from(o) {
+                        if let Some(part) = self.write_participant(cid, block, completion) {
+                            bufs.participants.push(part);
+                        }
                     }
                 }
+                bufs.participants.sort_unstable_by_key(|&(cid, _, _)| cid);
             }
         }
         if bufs.participants.is_empty() {
             return true;
         }
+        // Every participant completes on one row: resolve it once for the
+        // releases, the search's claims and its backtracking.
+        let Some(row) = self.tables[block.index()].claim_row(completion) else {
+            return false; // a negative straight-line cycle admits no claim
+        };
 
-        for &(cid, pcompl, _) in &bufs.participants {
+        for &(cid, producer, _) in &bufs.participants {
             let info = self.comm_info[cid.index()];
             if let Some(stub) = info.wstub {
-                let c = self.universe.comm(cid);
-                let producer = c.producer;
-                self.tables[block.index()].unplace_write_stub(pcompl, stub, producer);
+                self.tables[block.index()].unplace_write_stub_in(row, stub, producer);
                 self.set_comm_info(
                     cid,
                     CommInfo {
@@ -1085,19 +1170,16 @@ impl<'a> Engine<'a> {
             // Sort key: closing comms first, narrowest copy range first,
             // comm index as the tiebreak.
             bufs.keyed.clear();
-            for &(cid, pcompl, pfu) in bufs.participants.iter() {
+            for &part in bufs.participants.iter() {
+                let cid = part.0;
                 let closing = self.comm_closing(cid);
                 let range = if closing {
                     self.copy_range(cid).map(|(lo, hi)| hi - lo).unwrap_or(0)
                 } else {
                     i64::MAX / 2
                 };
-                bufs.keyed.push((
-                    if closing { 0 } else { 1 },
-                    range,
-                    cid.index() as u32,
-                    (cid, pcompl, pfu),
-                ));
+                bufs.keyed
+                    .push((u8::from(!closing), range, cid.index() as u32, part));
             }
             bufs.keyed.sort_unstable();
             bufs.participants.clear();
@@ -1119,11 +1201,10 @@ impl<'a> Engine<'a> {
         bufs.pos.resize(n, 0);
         bufs.chosen.clear();
         bufs.chosen.resize(n, None);
+        let table = &mut self.tables[block.index()];
         let mut i = 0usize;
         while i < n {
-            let (cid, pcompl, pfu) = bufs.participants[i];
-            let producer = self.universe.comm(cid).producer;
-            let fanout = self.arch.fu(pfu).output_fanout();
+            let (_, producer, fanout) = bufs.participants[i];
             let (start, end) = bufs.ranges[i];
             let ncand = (end - start) as usize;
             let mut advanced = false;
@@ -1133,7 +1214,7 @@ impl<'a> Engine<'a> {
                 }
                 budget -= 1;
                 let stub = bufs.cand[start as usize + bufs.pos[i]];
-                if self.tables[block.index()].place_write_stub(pcompl, stub, producer, fanout) {
+                if table.place_write_stub_in(row, stub, producer, fanout) {
                     bufs.chosen[i] = Some(stub);
                     advanced = true;
                     break;
@@ -1150,15 +1231,14 @@ impl<'a> Engine<'a> {
                     return false;
                 }
                 i -= 1;
-                let (pc, ppcompl, _) = bufs.participants[i];
-                let producer = self.universe.comm(pc).producer;
+                let (pc, pproducer, _) = bufs.participants[i];
                 let Some(stub) = bufs.chosen[i].take() else {
                     return self.fail_internal(
                         "permute_writes",
                         format!("backtracked to {pc:?} with no chosen stub"),
                     );
                 };
-                self.tables[block.index()].unplace_write_stub(ppcompl, stub, producer);
+                table.unplace_write_stub_in(row, stub, pproducer);
                 bufs.pos[i] += 1;
             }
         }
@@ -1432,14 +1512,15 @@ impl<'a> Engine<'a> {
         }
         let fanout = self.arch.fu(p.fu).output_fanout();
         let sp = self.savepoint();
-        self.tables[block.index()].unplace_write_stub(p.completion(), old, c.producer);
+        let table = &mut self.tables[block.index()];
         let mut placed = None;
-        for &(_, stub) in &candidates {
-            if self.tables[block.index()].place_write_stub(p.completion(), stub, c.producer, fanout)
-            {
-                placed = Some(stub);
-                break;
-            }
+        // The old stub is placed, so its row is allocated.
+        if let Some(row) = table.claim_row(p.completion()) {
+            table.unplace_write_stub_in(row, old, c.producer);
+            placed = candidates
+                .iter()
+                .map(|&(_, stub)| stub)
+                .find(|&stub| table.place_write_stub_in(row, stub, c.producer, fanout));
         }
         self.scratch.revise = candidates;
         match placed {
@@ -1494,19 +1575,28 @@ impl<'a> Engine<'a> {
             return false;
         };
         let sp = self.savepoint();
-        self.tables[block.index()].unplace_read_stub(q.cycle, old, c.consumer, c.slot);
-        let arch = self.arch;
-        for &stub in arch.read_stubs(q.fu, c.slot) {
-            if stub.rf != target {
-                continue;
-            }
-            if self.tables[block.index()].place_read_stub(q.cycle, stub, c.consumer, c.slot) {
+        let table = &mut self.tables[block.index()];
+        // The old stub is placed, so its row is allocated.
+        let placed = table.claim_row(q.cycle).and_then(|row| {
+            table.unplace_read_stub_in(row, old, c.consumer, c.slot);
+            self.arch
+                .read_stubs(q.fu, c.slot)
+                .iter()
+                .copied()
+                .find(|&stub| {
+                    stub.rf == target && table.place_read_stub_in(row, stub, c.consumer, c.slot)
+                })
+        });
+        match placed {
+            Some(stub) => {
                 self.set_operand(operand_idx, Some(stub), false);
-                return true;
+                true
+            }
+            None => {
+                self.rollback(&sp);
+                false
             }
         }
-        self.rollback(&sp);
-        false
     }
 
     /// Attaches `cid` to an already-scheduled copy that moves the same

@@ -115,6 +115,11 @@ pub struct Savepoint {
     generation: u64,
 }
 
+/// A resolved table row (see [`ResourceTable::claim_row`]): the flat
+/// index of the row's first cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Row(usize);
+
 impl ResourceTable {
     /// Creates an empty table for an architecture's resources.
     pub fn new(map: ResourceMap, mode: TableMode) -> Self {
@@ -149,21 +154,25 @@ impl ResourceTable {
         }
     }
 
-    /// Flat cell index for reading: `None` when the row was never
-    /// allocated (trivially unoccupied).
+    /// `cycle`'s row for reading: `None` when the row was never allocated
+    /// (trivially unoccupied).
     #[inline]
-    fn cell_read(&self, cycle: i64, resource: Resource) -> Option<usize> {
+    fn read_row(&self, cycle: i64) -> Option<Row> {
         let row = self.row(cycle)?;
-        if row >= self.rows {
-            return None;
-        }
-        Some(row * self.nres + self.map.index(resource))
+        (row < self.rows).then_some(Row(row * self.nres))
     }
 
-    /// Flat cell index for claiming, growing linear tables on demand.
-    /// `None` only for negative linear cycles.
+    /// Resolves `cycle`'s row for a run of claims, growing a linear table
+    /// on demand. `None` only for negative linear cycles.
+    ///
+    /// Every claim on one cycle lands in one row, so a caller making many
+    /// claims on a cycle — the §4.3 stub permutation searches — resolves
+    /// the row once and claims through the `*_in` methods instead of
+    /// folding the cycle again inside every claim. A [`Row`] stays valid
+    /// for the table's lifetime: rollback never shrinks the table and
+    /// linear growth only appends rows.
     #[inline]
-    fn cell_claim(&mut self, cycle: i64, resource: Resource) -> Option<usize> {
+    pub(crate) fn claim_row(&mut self, cycle: i64) -> Option<Row> {
         let row = self.row(cycle)?;
         if row >= self.rows {
             debug_assert!(matches!(self.mode, TableMode::Linear));
@@ -173,13 +182,19 @@ impl ResourceTable {
             self.cells.resize(new_rows * self.nres, Vec::new());
             self.rows = new_rows;
         }
-        Some(row * self.nres + self.map.index(resource))
+        Some(Row(row * self.nres))
+    }
+
+    /// Flat index of `resource`'s cell in `row`.
+    #[inline]
+    fn cell(&self, row: Row, resource: Resource) -> usize {
+        row.0 + self.map.index(resource)
     }
 
     /// Number of distinct claims on `resource` at `cycle` (0 = free).
     pub fn occupancy(&self, cycle: i64, resource: Resource) -> usize {
-        self.cell_read(cycle, resource)
-            .map_or(0, |c| self.cells[c].len())
+        self.read_row(cycle)
+            .map_or(0, |row| self.cells[self.cell(row, resource)].len())
     }
 
     /// Per-row occupancy of `resource` over the first `rows` rows
@@ -308,22 +323,25 @@ impl ResourceTable {
     /// restores the claim. Releasing a stub that was never placed is an
     /// engine bug; it is skipped (debug builds trip an assertion).
     pub fn unplace_write_stub(&mut self, cycle: i64, stub: WriteStub, value: SOpId) {
-        let bus_raw = stub.bus.index() as u32;
-        let payload = Payload::Write {
-            value,
-            bus: bus_raw,
-        };
-        let Some(ocell) = self.cell_read(cycle, Resource::FuOutput(stub.fu)) else {
+        let Some(row) = self.read_row(cycle) else {
             debug_assert!(false, "released claim on an unallocated row");
             return;
         };
-        self.release(ocell, payload);
-        if let Some(bcell) = self.cell_read(cycle, Resource::Bus(stub.bus)) {
-            self.release(bcell, Payload::WriteBus { value });
-        }
-        if let Some(pcell) = self.cell_read(cycle, Resource::WritePort(stub.port)) {
-            self.release(pcell, payload);
-        }
+        self.unplace_write_stub_in(row, stub, value);
+    }
+
+    /// [`ResourceTable::unplace_write_stub`] in a resolved row.
+    pub(crate) fn unplace_write_stub_in(&mut self, row: Row, stub: WriteStub, value: SOpId) {
+        let payload = Payload::Write {
+            value,
+            bus: stub.bus.index() as u32,
+        };
+        self.release(self.cell(row, Resource::FuOutput(stub.fu)), payload);
+        self.release(
+            self.cell(row, Resource::Bus(stub.bus)),
+            Payload::WriteBus { value },
+        );
+        self.release(self.cell(row, Resource::WritePort(stub.port)), payload);
     }
 
     /// Releases one placement of a read stub made with
@@ -331,21 +349,31 @@ impl ResourceTable {
     /// placed is an engine bug; it is skipped (debug builds trip an
     /// assertion).
     pub fn unplace_read_stub(&mut self, cycle: i64, stub: ReadStub, op: SOpId, slot: usize) {
+        let Some(row) = self.read_row(cycle) else {
+            debug_assert!(false, "released claim on an unallocated row");
+            return;
+        };
+        self.unplace_read_stub_in(row, stub, op, slot);
+    }
+
+    /// [`ResourceTable::unplace_read_stub`] in a resolved row.
+    pub(crate) fn unplace_read_stub_in(
+        &mut self,
+        row: Row,
+        stub: ReadStub,
+        op: SOpId,
+        slot: usize,
+    ) {
         let payload = Payload::Read {
             op,
             slot: slot as u8,
         };
-        let Some(rcell) = self.cell_read(cycle, Resource::ReadPort(stub.port)) else {
-            debug_assert!(false, "released claim on an unallocated row");
-            return;
-        };
-        self.release(rcell, payload);
-        if let Some(bcell) = self.cell_read(cycle, Resource::Bus(stub.bus)) {
-            self.release(bcell, Payload::ReadBus { port: stub.port });
-        }
-        if let Some(icell) = self.cell_read(cycle, Resource::FuInput(stub.input())) {
-            self.release(icell, payload);
-        }
+        self.release(self.cell(row, Resource::ReadPort(stub.port)), payload);
+        self.release(
+            self.cell(row, Resource::Bus(stub.bus)),
+            Payload::ReadBus { port: stub.port },
+        );
+        self.release(self.cell(row, Resource::FuInput(stub.input())), payload);
     }
 
     /// Applies an admission decision computed by `admit_exclusive` /
@@ -387,9 +415,10 @@ impl ResourceTable {
         // permutation search never pays for journalling doomed claims.
         let payload = Payload::Op(op);
         for i in 0..interval as i64 {
-            let Some(cell) = self.cell_claim(cycle + i, Resource::FuIssue(fu)) else {
+            let Some(row) = self.claim_row(cycle + i) else {
                 return false;
             };
+            let cell = self.cell(row, Resource::FuIssue(fu));
             if matches!(
                 admit_exclusive(&self.cells[cell], payload),
                 Admission::Conflict
@@ -398,10 +427,11 @@ impl ResourceTable {
             }
         }
         for i in 0..interval as i64 {
-            let Some(cell) = self.cell_claim(cycle + i, Resource::FuIssue(fu)) else {
+            let Some(row) = self.claim_row(cycle + i) else {
                 debug_assert!(false, "claimable cell vanished between check and apply");
                 return false;
             };
+            let cell = self.cell(row, Resource::FuIssue(fu));
             let adm = admit_exclusive(&self.cells[cell], payload);
             self.apply_claim(cell, payload, adm);
         }
@@ -419,6 +449,20 @@ impl ResourceTable {
         value: SOpId,
         fanout: usize,
     ) -> bool {
+        match self.claim_row(cycle) {
+            Some(row) => self.place_write_stub_in(row, stub, value, fanout),
+            None => false,
+        }
+    }
+
+    /// [`ResourceTable::place_write_stub`] in a resolved row.
+    pub(crate) fn place_write_stub_in(
+        &mut self,
+        row: Row,
+        stub: WriteStub,
+        value: SOpId,
+        fanout: usize,
+    ) -> bool {
         let bus_raw = stub.bus.index() as u32;
         let wpayload = Payload::Write {
             value,
@@ -430,15 +474,9 @@ impl ResourceTable {
         // check every admission read-only, and mutate only when all three
         // admit. The failure path — the common case during the §4.3
         // permutation search — touches neither the cells nor the journal.
-        let Some(ocell) = self.cell_claim(cycle, Resource::FuOutput(stub.fu)) else {
-            return false;
-        };
-        let Some(bcell) = self.cell_claim(cycle, Resource::Bus(stub.bus)) else {
-            return false;
-        };
-        let Some(pcell) = self.cell_claim(cycle, Resource::WritePort(stub.port)) else {
-            return false;
-        };
+        let ocell = self.cell(row, Resource::FuOutput(stub.fu));
+        let bcell = self.cell(row, Resource::Bus(stub.bus));
+        let pcell = self.cell(row, Resource::WritePort(stub.port));
 
         // Output: one value; up to `fanout` distinct buses.
         let o_adm = admit_output(&self.cells[ocell], value, bus_raw, fanout);
@@ -465,21 +503,29 @@ impl ResourceTable {
     /// Claims the resources of a read stub on `cycle` for consumer operand
     /// `(op, slot)`. Leaves the table untouched on failure.
     pub fn place_read_stub(&mut self, cycle: i64, stub: ReadStub, op: SOpId, slot: usize) -> bool {
+        match self.claim_row(cycle) {
+            Some(row) => self.place_read_stub_in(row, stub, op, slot),
+            None => false,
+        }
+    }
+
+    /// [`ResourceTable::place_read_stub`] in a resolved row.
+    pub(crate) fn place_read_stub_in(
+        &mut self,
+        row: Row,
+        stub: ReadStub,
+        op: SOpId,
+        slot: usize,
+    ) -> bool {
         let payload = Payload::Read {
             op,
             slot: slot as u8,
         };
-        // As in `place_write_stub`: distinct cells, so check all three
+        // As in `place_write_stub_in`: distinct cells, so check all three
         // admissions read-only before mutating anything.
-        let Some(rcell) = self.cell_claim(cycle, Resource::ReadPort(stub.port)) else {
-            return false;
-        };
-        let Some(bcell) = self.cell_claim(cycle, Resource::Bus(stub.bus)) else {
-            return false;
-        };
-        let Some(icell) = self.cell_claim(cycle, Resource::FuInput(stub.input())) else {
-            return false;
-        };
+        let rcell = self.cell(row, Resource::ReadPort(stub.port));
+        let bcell = self.cell(row, Resource::Bus(stub.bus));
+        let icell = self.cell(row, Resource::FuInput(stub.input()));
 
         let r_adm = admit_exclusive(&self.cells[rcell], payload);
         if matches!(r_adm, Admission::Conflict) {

@@ -4,6 +4,11 @@
 //!   Figure 4 on the Figure 5 toy machine), restricted to the stable
 //!   decision-level events, proving both determinism of the scheduler on
 //!   the motivating example and stability of the JSONL encoding;
+//! - a pinned digest of the *full* event stream — every attempt, stub
+//!   choice, revision, copy and rejection, in order — of a copy-inserting
+//!   paper-grid cell (DCT on the distributed Imagine machine), so a
+//!   rewrite of the placement search must emit the same events in the
+//!   same order, not merely reach the same schedule;
 //! - the metrics/validator consistency check: the occupancy profiles in
 //!   [`ScheduleMetrics`] must equal an independent replay of the
 //!   schedule's resource bookings done the way the validator does it.
@@ -19,7 +24,7 @@ use csched_core::{
     schedule_kernel, schedule_kernel_traced, validate, ResourceTable, SchedulerConfig, TableMode,
 };
 use csched_ir::{Kernel, KernelBuilder};
-use csched_machine::{toy, Resource, ResourceMap};
+use csched_machine::{fnv1a, imagine, toy, Resource, ResourceMap};
 
 /// Figure 4: `a = load; b = 1+2; c = 3+4; _ = a+b; _ = a+c` plus stores.
 fn figure4() -> Kernel {
@@ -62,6 +67,33 @@ fn motivating_example_trace_matches_golden_file() {
         got, want,
         "trace diverged from golden; if the scheduler change is \
          intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// DCT on the distributed machine inserts 4 copies in 942 attempts: its
+/// stream exercises the fast and full stub permutations, write-stub
+/// revision, copy insertion and copy reuse. The digest is FNV-1a over the
+/// unfiltered JSONL stream.
+#[test]
+fn copy_inserting_cell_trace_digest_is_pinned() {
+    let arch = imagine::distributed();
+    let w = csched_kernels::by_name("DCT").unwrap();
+    let mut sink = JsonlSink::new();
+    let schedule =
+        schedule_kernel_traced(&arch, &w.kernel, SchedulerConfig::default(), &mut sink).unwrap();
+    assert_eq!(
+        (
+            schedule.ii(),
+            schedule.num_copies(),
+            schedule.stats().attempts
+        ),
+        (Some(9), 4, 942)
+    );
+    let got = (sink.lines(), fnv1a(sink.as_str().as_bytes()));
+    assert_eq!(
+        got,
+        (10_795, 0x9544_6505_6dc7_036e),
+        "the DCT-on-distributed event stream drifted"
     );
 }
 

@@ -469,10 +469,8 @@ mod tests {
 
     #[test]
     fn journal_resume_is_byte_identical() {
-        let dir = std::env::temp_dir().join(format!("csched-gap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::campaign::unique_temp_dir("gap").unwrap();
         let journal = dir.join("gap.jsonl");
-        let _ = std::fs::remove_file(&journal);
 
         let cfg = tiny_cfg();
         let cells = merge_cells();

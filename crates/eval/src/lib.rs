@@ -62,7 +62,8 @@ pub use bench::{
 };
 pub use campaign::{
     campaign_json, cell_key, config_fingerprint, grid_from_records, run_campaign,
-    run_campaign_jobs, CampaignError, CampaignResult, CellRecord, CellStatus, Journal,
+    run_campaign_jobs, unique_temp_dir, CampaignError, CampaignResult, CellRecord, CellStatus,
+    Journal,
 };
 pub use chaosnet::{ChaosNetConfig, ChaosProxy, FaultAction, FaultKind, FaultRecord};
 pub use explore::{explore, pareto, CandidateReport, ExploreConfig, ExploreReport, Origin, Score};

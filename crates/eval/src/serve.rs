@@ -126,6 +126,7 @@ use csched_core::{
     CancelToken, RetryPolicy, SchedulerConfig, StepBudget, Watchdog,
 };
 use csched_ir::Kernel;
+use csched_machine::fnv1a;
 
 use crate::campaign::{cell_key, config_fingerprint, json_num_field, CampaignError, Journal};
 use crate::pool::{Rejected, Service};
@@ -348,16 +349,6 @@ impl CacheEntry {
         };
         Some((json_num_field(body, "key")?, entry))
     }
-}
-
-/// FNV-1a over raw bytes (the cache line checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The content hash of a kernel: FNV-1a over its *canonical* textual
@@ -2093,10 +2084,7 @@ mod tests {
 
     #[test]
     fn cache_load_quarantines_corrupt_entries_and_heals_on_insert() {
-        let dir = std::env::temp_dir().join(format!("csched-serve-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = tmp("quarantine");
         {
             let (mut cache, report) = ScheduleCache::open(Some(&path), false).unwrap();
             assert_eq!(report, CacheLoadReport::default());
@@ -2137,10 +2125,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_repaired_not_quarantined() {
-        let dir = std::env::temp_dir().join(format!("csched-serve-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let path = tmp("torn");
         {
             let (mut cache, _) = ScheduleCache::open(Some(&path), false).unwrap();
             cache.insert(1, entry(4)).unwrap();
@@ -2280,11 +2265,9 @@ mod tests {
     // --- compaction and degraded-write mode ---
 
     fn tmp(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("csched-serve-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.jsonl"));
-        let _ = std::fs::remove_file(&path);
-        path
+        crate::campaign::unique_temp_dir("serve-unit")
+            .unwrap()
+            .join(format!("{tag}.jsonl"))
     }
 
     #[test]

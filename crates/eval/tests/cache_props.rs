@@ -10,10 +10,19 @@ use std::path::PathBuf;
 use csched_eval::serve::{CacheEntry, CompactionPolicy, ScheduleCache};
 use proptest::prelude::*;
 
+/// A journal path in a fresh directory of its own, so concurrently
+/// running properties and cases never share a file.
 fn tmp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-cache-props-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.jsonl"))
+    csched_eval::unique_temp_dir("cache-props")
+        .unwrap()
+        .join(format!("{tag}.jsonl"))
+}
+
+/// Removes the directory [`tmp_path`] created.
+fn remove_tmp(path: &std::path::Path) {
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 fn entry(ii: u32, attempts: u64) -> CacheEntry {
@@ -30,7 +39,6 @@ fn entry(ii: u32, attempts: u64) -> CacheEntry {
 /// Write a clean journal of `keys.len()` distinct-key entries and
 /// return its bytes.
 fn build_journal(path: &PathBuf, keys: u64) -> Vec<u8> {
-    let _ = std::fs::remove_file(path);
     {
         let (mut cache, _) = ScheduleCache::open(Some(path), false).unwrap();
         for key in 0..keys {
@@ -103,7 +111,7 @@ proptest! {
                 prop_assert_eq!(got, &expect, "key {} served a mutated entry", key);
             }
         }
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     /// An unmutated journal always loads exactly what was written.
@@ -119,7 +127,7 @@ proptest! {
             let expect = entry(key as u32 + 2, 100 + key);
             prop_assert_eq!(cache.lookup(key, expect.limit), Some(&expect));
         }
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 
     /// Compaction preserves behaviour: after any insert sequence (with
@@ -131,7 +139,6 @@ proptest! {
         tag in 0u64..1_000_000,
     ) {
         let path = tmp_path(&format!("compact-{tag}"));
-        let _ = std::fs::remove_file(&path);
         let policy = CompactionPolicy { max_journal_bytes: 256, max_entries: 1 << 16 };
         let (mut cache, _) = ScheduleCache::open_with(Some(&path), false, policy).unwrap();
         for (i, (key, ii)) in inserts.iter().enumerate() {
@@ -161,6 +168,6 @@ proptest! {
             let text = std::fs::read_to_string(&path).unwrap();
             prop_assert!(text.lines().count() <= inserts.len());
         }
-        let _ = std::fs::remove_file(&path);
+        remove_tmp(&path);
     }
 }

@@ -12,11 +12,7 @@ use csched_core::SchedulerConfig;
 use csched_machine::imagine;
 
 fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-campaign-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+    csched_eval::unique_temp_dir("campaign").unwrap().join(name)
 }
 
 #[test]

@@ -19,11 +19,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-explore-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+    csched_eval::unique_temp_dir("explore").unwrap().join(name)
 }
 
 fn suite() -> Vec<csched_kernels::Workload> {

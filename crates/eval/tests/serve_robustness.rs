@@ -12,11 +12,9 @@ use csched_eval::serve::{client_raw, client_request, client_stats, ServeConfig, 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 fn tmp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-serve-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.jsonl"));
-    let _ = std::fs::remove_file(&path);
-    path
+    csched_eval::unique_temp_dir("serve-it")
+        .unwrap()
+        .join(format!("{tag}.jsonl"))
 }
 
 fn merge_request() -> (String, String) {

@@ -42,6 +42,7 @@ pub mod connect;
 pub mod cost;
 pub mod fault;
 pub mod gen;
+mod hash;
 mod ids;
 pub mod imagine;
 mod op;
@@ -56,6 +57,7 @@ pub use arch::{
 };
 pub use connect::CopyConnectivity;
 pub use fault::FaultSpec;
+pub use hash::fnv1a;
 pub use ids::{BusId, FuId, InputRef, ReadPortId, RfId, WritePortId};
 pub use op::{default_capability, default_issue_interval, default_latency, Capability, Opcode};
 pub use resource::{Resource, ResourceMap};

@@ -12,6 +12,32 @@ use common::{differential_check, random_kernel, random_kernel_with_ops, TOY_OPS}
 use csched::machine::{imagine, toy, ArchBuilder, Architecture, FuClass, Opcode};
 use proptest::prelude::*;
 
+/// Every test in this binary is registered exactly once. The vendored
+/// `proptest!` passes the `#[test]` written on each property through and
+/// adds none of its own; when it added one, every property ran twice,
+/// concurrently and on identical seeds. The binary lists its own tests
+/// (`--list` runs none), so the check covers whatever the macro expands
+/// to. `ci.sh` applies the same check to every test binary.
+#[test]
+fn every_test_is_registered_once() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args(["--list", "--format", "terse"])
+        .output()
+        .expect("list this binary's tests");
+    assert!(out.status.success(), "--list failed");
+    let listing = String::from_utf8_lossy(&out.stdout);
+    let names: Vec<&str> = listing
+        .lines()
+        .filter_map(|l| l.strip_suffix(": test"))
+        .collect();
+    assert!(names.contains(&"random_kernels_on_random_clustered"));
+    let mut sorted = names.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), names.len(), "duplicate test names: {listing}");
+}
+
 /// A small distributed-style machine (2 ALUs, 1 MUL, 1 LS over 4 shared
 /// buses with per-input register files) so property tests run fast.
 fn mini_distributed() -> Architecture {

@@ -5,21 +5,21 @@
 #
 # The lint and format steps degrade gracefully when the toolchain lacks
 # the `clippy` or `rustfmt` components (e.g. a minimal container); the
-# build and test steps are mandatory. `csched-core`, `csched-ir`, and
-# `csched-eval` (including the `explore`, `soak`, `dash`, and `oracle`
-# binaries, which carry their own crate-level attributes; the `chaosnet`,
-# `telemetry`, and `gap` modules are covered by the csched-eval lib
-# attribute, as is `csched_core::exact` by the csched-core one)
-# additionally carry
+# build and test steps are mandatory. Step 1 builds the workspace's one
+# binary, `target/release/csched`; every smoke step below runs one of its
+# subcommands from that build. `csched-core`, `csched-ir`, and
+# `csched-eval` (the library, and the `csched` binary's crate root, which
+# covers every subcommand) additionally carry
 # `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)` outside
 # test code, so the clippy step doubles as the panic-free gate for the
 # scheduling pipeline, the evaluation harness, the design-space search,
-# and the chaos/soak tooling.
+# the service, and the chaos/soak tooling.
 
 set -euo pipefail
 cd "$(dirname "$0")"
 
 step() { printf '\n==> %s\n' "$*"; }
+CSCHED=target/release/csched
 
 step "cargo build --release --workspace"
 cargo build --release --workspace
@@ -42,7 +42,7 @@ cargo test --workspace -- --list --format terse 2>&1 \
 # watchdog contract — valid schedule, typed error, or in-deadline stop;
 # never a panic, never a budget overrun. Exit 1 means a violation.
 step "chaos smoke campaign (seeded, deterministic)"
-cargo run -q --release -p csched-eval --bin chaos -- \
+"$CSCHED" chaos \
     --seed 3 --runs 6 --max-faults 2 --step-limit 20000 --kernels 2 \
     --arch distributed > /dev/null
 
@@ -68,11 +68,10 @@ cargo test -q --release -p csched-eval --test grid_golden -- --include-ignored
 # wall clock is advisory because the baseline was recorded on different
 # hardware.
 step "bench smoke vs BENCH_baseline.json"
-cargo run -q --release -p csched-eval --bin bench-json -- \
+"$CSCHED" bench \
     --label ci --reps 2 --kernels FFT,Merge,DCT,FIR-INT,FIR-FP,Sort \
     --archs central,clustered4,distributed
-cargo run -q --release -p csched-eval --bin bench-json -- \
-    --compare BENCH_baseline.json BENCH_ci.json
+"$CSCHED" bench --compare BENCH_baseline.json BENCH_ci.json
 
 # Design-space exploration smoke: a small sampled sweep on 2 worker
 # threads must print JSON byte-identical to the single-threaded run
@@ -81,10 +80,10 @@ cargo run -q --release -p csched-eval --bin bench-json -- \
 # 50-candidate acceptance sweep at --jobs 8 — then runs on the release
 # profile, where it takes seconds.
 step "explore smoke (thread-count invariance)"
-cargo run -q --release -p csched-eval --bin explore -- \
+"$CSCHED" explore \
     --kernels Merge,Sort --candidates 6 --rounds 0 --step-limit 200000 \
     --jobs 1 --json > EXPLORE_ci_j1.json
-cargo run -q --release -p csched-eval --bin explore -- \
+"$CSCHED" explore \
     --kernels Merge,Sort --candidates 6 --rounds 0 --step-limit 200000 \
     --jobs 2 --json > EXPLORE_ci_j2.json
 diff EXPLORE_ci_j1.json EXPLORE_ci_j2.json
@@ -92,10 +91,9 @@ diff EXPLORE_ci_j1.json EXPLORE_ci_j2.json
 step "explore determinism suite incl. acceptance sweep (release)"
 cargo test -q --release -p csched-eval --test explore_determinism -- --include-ignored
 
-# Bottleneck-attribution smoke: the explain binary must name a binding.
+# Bottleneck-attribution smoke: `csched explain` must name a binding.
 step "explain smoke (FFT on distributed)"
-cargo run -q --release -p csched-eval --bin explain -- FFT distributed --json \
-    | grep -q '"binding"'
+"$CSCHED" explain FFT distributed --json | grep -q '"binding"'
 
 # Exact-oracle gap smoke: certify three small paper-grid cells under a
 # tight per-cell step budget and check the gap-report JSON schema. The
@@ -104,7 +102,7 @@ cargo run -q --release -p csched-eval --bin explain -- FFT distributed --json \
 # a soundness disagreement between the oracle and the validator — or a
 # cell failing to certify — fails this step.
 step "exact-oracle gap smoke (3 certified cells + gap-v1 schema)"
-cargo run -q --release -p csched-eval --bin oracle -- \
+"$CSCHED" oracle \
     --cell Merge central --cell Merge clustered2 --cell Merge clustered4 \
     --exact-steps 500000 > GAP_ci.json
 grep -q '"schema":"gap-v1"' GAP_ci.json
@@ -130,49 +128,43 @@ serve_wait_addr() { # log-file -> prints host:port once the server is up
     echo "serve never reported its address" >&2
     return 1
 }
-cargo run -q --release -p csched-eval --bin serve -- \
+"$CSCHED" serve \
     --addr 127.0.0.1:0 --cache "$SERVE_CACHE" > "$SERVE_DIR/serve1.log" &
 SERVE_PID=$!
 SERVE_ADDR="$(serve_wait_addr "$SERVE_DIR/serve1.log")"
-cargo run -q --release -p csched-eval --bin serve -- \
-    --client "$SERVE_ADDR" --malformed > /dev/null
-cargo run -q --release -p csched-eval --bin serve -- \
-    --client "$SERVE_ADDR" --bench-suite --min-ratio 10
+"$CSCHED" serve --client "$SERVE_ADDR" --malformed > /dev/null
+"$CSCHED" serve --client "$SERVE_ADDR" --bench-suite --min-ratio 10
 # SIGKILL mid-request: fire a request and kill the server under it; the
 # flushed journal must survive (a torn tail is repaired, never corrupt).
-cargo run -q --release -p csched-eval --bin serve -- \
+"$CSCHED" serve \
     --client "$SERVE_ADDR" --kernel FFT --arch clustered4 > /dev/null 2>&1 &
 SERVE_KILL_CLIENT=$!
 kill -9 "$SERVE_PID"
 wait "$SERVE_KILL_CLIENT" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
-cargo run -q --release -p csched-eval --bin serve -- \
+"$CSCHED" serve \
     --addr 127.0.0.1:0 --cache "$SERVE_CACHE" > "$SERVE_DIR/serve2.log" &
 SERVE_PID=$!
 SERVE_ADDR="$(serve_wait_addr "$SERVE_DIR/serve2.log")"
 grep -q ', 0 quarantined, 0 corrupt lines,' "$SERVE_DIR/serve2.log"
-cargo run -q --release -p csched-eval --bin serve -- \
-    --client "$SERVE_ADDR" --kernel Merge --arch distributed \
+"$CSCHED" serve --client "$SERVE_ADDR" --kernel Merge --arch distributed \
     | grep -q 'CACHE hit'
 # Telemetry smoke: METRICS must lead with the schema-versioned JSON
 # line and every exposition line must match the Prometheus text
 # grammar; TRACE must stream JSONL that terminates with its summary
 # and status lines within the event cap; the dashboard renders a
 # frame from the same endpoints.
-cargo run -q --release -p csched-eval --bin serve -- \
-    --client "$SERVE_ADDR" --metrics > "$SERVE_DIR/metrics.txt"
+"$CSCHED" serve --client "$SERVE_ADDR" --metrics > "$SERVE_DIR/metrics.txt"
 head -1 "$SERVE_DIR/metrics.txt" | grep -q '^{"schema":1,'
 grep -q '^csched_requests_total{outcome="ok"} ' "$SERVE_DIR/metrics.txt"
 ! tail -n +2 "$SERVE_DIR/metrics.txt" \
     | grep -qvE '^(# (HELP|TYPE) csched_[a-z_]+ .+|csched_[a-z_]+(\{[^}]*\})? [0-9]+|)$'
-cargo run -q --release -p csched-eval --bin serve -- \
-    --client "$SERVE_ADDR" --kernel Merge --arch distributed \
+"$CSCHED" serve --client "$SERVE_ADDR" --kernel Merge --arch distributed \
     --trace --events 64 > "$SERVE_DIR/trace.txt"
 [ "$(grep -c '^{"req":' "$SERVE_DIR/trace.txt")" -le 64 ]
 grep -q '^TRACE end events=' "$SERVE_DIR/trace.txt"
 tail -1 "$SERVE_DIR/trace.txt" | grep -q '^OK ii='
-cargo run -q --release -p csched-eval --bin dash -- \
-    --addr "$SERVE_ADDR" --once | grep -q '^csched dash'
+"$CSCHED" dash --addr "$SERVE_ADDR" --once | grep -q '^csched dash'
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 rm -rf "$SERVE_DIR"
@@ -182,7 +174,8 @@ rm -rf "$SERVE_DIR"
 # one mid-run SIGKILL+restart (plus a final verification restart). The
 # fixed seed is known to inject at least one disconnect and one
 # slowloris in this window (soak exits 1 if a required kind never
-# fired). The binary asserts the full invariant set internally:
+# fired). `csched soak` starts its servers as `csched serve` children of
+# the same executable and asserts the full invariant set internally:
 # retrying clients reach 100% eventual success while the no-retry
 # control client fails at least once, attempts <= limit on every
 # response, compaction runs (12 keys over the 8-entry cap), and after
@@ -190,11 +183,9 @@ rm -rf "$SERVE_DIR"
 # and serves every key byte-identically to the first recorded answer.
 step "chaos soak smoke (seeded proxy faults + SIGKILL + compaction)"
 SOAK_CACHE="$(mktemp -u)"
-cargo run -q --release -p csched-eval --bin soak -- \
-    --seed 42 --clients 4 --rounds 2 --fault-permille 250 --kills 1 \
+"$CSCHED" soak --seed 42 --clients 4 --rounds 2 --fault-permille 250 --kills 1 \
     --compact-entries 8 --require-faults disconnect,slowloris \
-    --cache "$SOAK_CACHE" \
-    --server-bin target/release/serve
+    --cache "$SOAK_CACHE"
 rm -f "$SOAK_CACHE"
 
 step "cargo test --doc --workspace"

@@ -1,7 +1,7 @@
 //! Scheduler configuration.
 //!
 //! The defaults implement the paper's choices; the alternative settings
-//! exist for the ablation studies in `csched-bench` (operation-order vs
+//! exist for the ablation study, `csched ablation` (operation-order vs
 //! cycle-order scheduling, the communication-cost heuristic, stub search
 //! ordering, and the permutation-search budget).
 

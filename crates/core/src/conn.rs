@@ -33,8 +33,8 @@
 //!
 //! Nothing in the cache depends on scheduling state, so sharing it across
 //! attempts cannot change any placement decision — the schedule-identity
-//! invariant that lets `bench-json --compare` gate the rebuild byte-for-
-//! byte (see DESIGN.md §14).
+//! invariant that lets `csched bench --compare` gate the rebuild
+//! byte-for-byte (see DESIGN.md §14).
 
 use csched_machine::{Architecture, CopyConnectivity, FuId, Opcode, RfId, WriteStub};
 

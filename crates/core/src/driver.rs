@@ -265,8 +265,8 @@ pub fn schedule_kernel_budgeted(
 /// ([`TraceEvent::IiStart`], [`TraceEvent::SlackWidened`]) and for every
 /// engine decision (placement attempts/accepts/rejects, stub allocation
 /// and revision, route closing, copy insertion). The untraced entry point
-/// pays only a never-taken branch per emission site — see the
-/// `trace_overhead` bench in `csched-bench`.
+/// pays only a never-taken branch per emission site — perfbench measures
+/// what tracing costs as `trace_overhead_s`.
 ///
 /// # Errors
 ///

@@ -226,10 +226,7 @@ impl ChaosRng {
     /// Next raw 64-bit output (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        csched_machine::splitmix64(self.state)
     }
 
     /// Uniform draw in `0..bound` (`bound` must be nonzero). Uses simple

@@ -87,8 +87,7 @@ pub use explain::{explain, Binding, Counterfactual, Explanation, ResourceRank};
 pub use metrics::ScheduleMetrics;
 pub use retry::{
     schedule_kernel_anytime, schedule_kernel_anytime_traced, schedule_kernel_with_retry,
-    schedule_kernel_with_retry_budgeted, schedule_kernel_with_retry_traced, AnytimeReport, Attempt,
-    RetryPolicy, ScheduleReport,
+    schedule_kernel_with_retry_budgeted, AnytimeReport, Attempt, RetryPolicy, ScheduleReport,
 };
 pub use schedule::{CommDisposition, PipelineSlot, Route, SchedStats, Schedule, ScheduledOp};
 pub use table::{ResourceTable, TableMode};

@@ -12,10 +12,10 @@
 //! read-stub claim per consumer operand.
 //!
 //! The summary serialises to JSON ([`ScheduleMetrics::to_json`], used by
-//! `csched-eval`'s `table1 --metrics-json`) and renders as a
+//! `csched table1 --metrics-json`) and renders as a
 //! reservation-table/occupancy heatmap
-//! ([`ScheduleMetrics::render_heatmap`], surfaced by the `one-cell
-//! --heatmap` binary).
+//! ([`ScheduleMetrics::render_heatmap`], surfaced by `csched one-cell
+//! --heatmap`).
 
 use std::fmt::Write as _;
 

@@ -220,20 +220,6 @@ pub fn schedule_kernel_with_retry_budgeted(
     schedule_with_retry_impl(arch, kernel, config, policy, budget, None, &mut prep)
 }
 
-/// [`schedule_kernel_with_retry`] with every pipeline decision traced
-/// into `sink`, including a [`TraceEvent::RungAdvanced`] per ladder rung.
-pub fn schedule_kernel_with_retry_traced(
-    arch: &Architecture,
-    kernel: &Kernel,
-    config: SchedulerConfig,
-    policy: &RetryPolicy,
-    sink: &mut dyn TraceSink,
-) -> (Result<Schedule, SchedError>, ScheduleReport) {
-    let budget = StepBudget::new(policy.budget.max(1));
-    let mut prep = PrepCache::new();
-    schedule_with_retry_impl(arch, kernel, config, policy, &budget, Some(sink), &mut prep)
-}
-
 fn schedule_with_retry_impl(
     arch: &Architecture,
     kernel: &Kernel,

@@ -10,7 +10,8 @@
 //! Tracing is **zero-cost when disabled**: the engine holds an
 //! `Option<&mut dyn TraceSink>` that defaults to `None`, so the untraced
 //! entry points ([`schedule_kernel`]) pay a single never-taken branch per
-//! emission site (see the `trace_overhead` bench in `csched-bench`).
+//! emission site (perfbench measures what tracing costs as
+//! `trace_overhead_s`).
 //!
 //! Two sinks are provided: [`RingBufferSink`] keeps the last *N* events
 //! in memory for post-mortem inspection, and [`JsonlSink`] renders each

@@ -1,8 +1,8 @@
 //! Perf-regression bench harness: structured scheduling-throughput
 //! measurements and a regression comparator.
 //!
-//! The measurement loop that `scale-perf` used to inline lives here as
-//! library functions: [`measure_cell`] schedules one kernel on one
+//! The measurement loop behind `csched bench` lives here as library
+//! functions: [`measure_cell`] schedules one kernel on one
 //! architecture `reps` times and records the wall-clock schedule time
 //! next to the run's *deterministic* outcomes (achieved II, copies,
 //! placement attempts — identical on every machine because the scheduler

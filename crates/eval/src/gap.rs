@@ -13,7 +13,7 @@
 //!   kernels are expected to land here);
 //! - `disagreement`: the oracle certified a *larger* II than a schedule
 //!   the validator accepted — a soundness bug in one of the two, and the
-//!   reason the `oracle` binary exits nonzero on it.
+//!   reason `csched oracle` exits nonzero on it.
 //!
 //! Like the table1 campaign, the pass journals each finished cell to a
 //! JSONL file (flushed per line, torn-tail tolerant) so a killed run

@@ -13,27 +13,28 @@
 //!   paper machines on a multi-threaded worker pool ([`pool`]) and
 //!   reports the Pareto frontier over (harmonic-mean II, area, power,
 //!   delay), with journal-backed resume;
-//! - the `paper-report` binary runs the full evaluation in one shot and
-//!   the `explore` binary runs the design-space search;
+//! - the `csched` binary's subcommands drive all of it: `csched report`
+//!   runs the full evaluation in one shot and `csched explore` runs the
+//!   design-space search;
 //! - [`serve`] turns the scheduler into a hardened long-running service:
 //!   bounded admission with typed load shedding, per-request deadlines
 //!   with graceful degradation, slowloris read-phase budgets, journal
 //!   compaction with a disk-full serve-from-memory latch, and a
 //!   crash-consistent checksummed schedule cache that quarantines
-//!   corrupt entries (the `serve` binary hosts it);
+//!   corrupt entries (`csched serve` hosts it);
 //! - [`chaosnet`] is a deterministic fault-injecting TCP proxy (seeded
 //!   disconnects, torn writes, slowloris drips, response truncation,
-//!   latency) used by the `soak` binary to hammer the service through a
+//!   latency) used by `csched soak` to hammer the service through a
 //!   hostile network and assert its invariants survive;
 //! - [`gap`] runs the heuristic and the exact oracle
 //!   ([`csched_core::exact`]) side by side across the paper grid (plus a
 //!   seeded explore subsample), journals each cell, and reports the
-//!   optimality gap per cell (the `oracle` binary drives it);
+//!   optimality gap per cell (`csched oracle` drives it);
 //! - [`telemetry`] gives the service per-request structured spans,
 //!   deterministic log-bucketed latency/attempts histograms, and the
 //!   renderings behind the `METRICS` (JSON + Prometheus exposition) and
-//!   `TRACE` (wire-streamed JSONL decision events) verbs; the `dash`
-//!   binary polls them into a live terminal dashboard.
+//!   `TRACE` (wire-streamed JSONL decision events) verbs; `csched dash`
+//!   polls them into a live terminal dashboard.
 
 #![warn(missing_docs)]
 // The evaluation harness reports typed failures per cell; outside of test

@@ -1800,7 +1800,7 @@ fn serve_trace<'a>(
 }
 
 // ---------------------------------------------------------------------
-// Client helpers (used by the `serve` binary, the CI smoke script, and
+// Client helpers (used by `csched serve`, the CI smoke script, and
 // the robustness tests).
 // ---------------------------------------------------------------------
 

@@ -126,13 +126,14 @@ fn timed_out_cells_checkpoint_and_resume_like_any_other() {
     let _ = std::fs::remove_file(&journal_path);
 }
 
-/// The table1 binary collects kernel-file parse failures instead of
+/// `csched table1` collects kernel-file parse failures instead of
 /// aborting, still prints its report, and exits nonzero.
 #[test]
 fn table1_binary_survives_a_bad_kernel_file_with_nonzero_exit() {
     let bad = temp_path("bad.k");
     std::fs::write(&bad, "kernel \"broken {{{").unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_csched"))
+        .arg("table1")
         .arg(&bad)
         .output()
         .unwrap();

@@ -19,7 +19,7 @@
 //! grid: they are pure reformulations, so the triples survived unchanged.
 //!
 //! The pinned values match `BENCH_baseline.json` / `BENCH_pregrid.json`
-//! (`bench-json --compare` gates the same fields in CI). Update them only
+//! (`csched bench --compare` gates the same fields in CI). Update them only
 //! when a change is *meant* to alter scheduling decisions, and say so in
 //! the commit message.
 //!

@@ -33,18 +33,16 @@ pub struct Rng(u64);
 impl Rng {
     /// Creates a generator from a seed.
     ///
-    /// The seed is passed through a splitmix64 finalizer (the same mixer
-    /// as `csched_core::faultinject::ChaosRng`) so that nearby seeds
+    /// The seed is passed through the splitmix64 finalizer
+    /// ([`crate::splitmix64`], shared with
+    /// `csched_core::faultinject::ChaosRng`) so that nearby seeds
     /// diverge immediately. The previous `seed | 1` mapping aliased every
     /// even seed `2k` onto `2k + 1`, silently halving the generated
     /// population; the finalizer is a bijection, so distinct seeds now
     /// yield distinct states (0 is remapped because xorshift64* requires
     /// a non-zero state).
     pub fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = crate::splitmix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
         Rng(if z == 0 { 0x9E37_79B9_7F4A_7C15 } else { z })
     }
 

@@ -57,7 +57,7 @@ pub use arch::{
 };
 pub use connect::CopyConnectivity;
 pub use fault::FaultSpec;
-pub use hash::fnv1a;
+pub use hash::{fnv1a, splitmix64};
 pub use ids::{BusId, FuId, InputRef, ReadPortId, RfId, WritePortId};
 pub use op::{default_capability, default_issue_interval, default_latency, Capability, Opcode};
 pub use resource::{Resource, ResourceMap};

@@ -3,9 +3,8 @@
 //! simulator reproduces the scalar reference output exactly.
 //!
 //! (The full 10 × 4 grid incl. the clustered and distributed machines runs
-//! in release mode via `cargo run --release -p csched-eval --bin
-//! paper-report`; debug-mode integration keeps to the fast baseline plus
-//! spot checks so `cargo test` stays snappy.)
+//! in release mode via `csched report`; debug-mode integration keeps to
+//! the fast baseline plus spot checks so `cargo test` stays snappy.)
 
 mod common;
 

@@ -2,7 +2,7 @@
 //! motivating example, at integration-test scale.
 //!
 //! The quantitative Figure 28/29 claims over the full grid run in release
-//! mode (`paper-report` binary; see EXPERIMENTS.md); here we pin the
+//! mode (`csched report`; see EXPERIMENTS.md); here we pin the
 //! *qualitative* relationships on fast-to-schedule kernels so regressions
 //! surface in `cargo test`.
 

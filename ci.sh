@@ -27,6 +27,13 @@ cargo build --release --workspace
 step "cargo test -q --workspace"
 cargo test -q --workspace
 
+# perfbench is a Cargo workspace of its own, with a path dependency on
+# the csched facade, so `--workspace` never builds it. Build and test it
+# here, so that a change to the public API it calls fails this gate.
+step "perfbench build and tests (release)"
+cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+cargo test -q --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 # Every test binary registers each test name once (a test registered
 # twice runs twice, concurrently, on identical inputs). Listing runs no
 # tests; the awk resets its name set at each binary's banner.

@@ -17,9 +17,9 @@
 //! step, so cancellation lands within one placement attempt.
 //!
 //! A budget is shared by everything downstream of one scheduling call:
-//! the retry ladder hands the *same* budget to every rung, so the sum of
-//! work over all relaxation attempts stays bounded — see
-//! [`schedule_kernel_with_retry`].
+//! the relaxation ladder of a [`ScheduleRequest`] hands the *same*
+//! budget to every rung, so the sum of work over all relaxation attempts
+//! stays bounded.
 //!
 //! ```
 //! use csched_core::{schedule_kernel_budgeted, SchedError, SchedulerConfig, StepBudget};
@@ -48,7 +48,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! [`schedule_kernel_with_retry`]: crate::schedule_kernel_with_retry
+//! [`ScheduleRequest`]: crate::ScheduleRequest
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -170,7 +170,7 @@ impl StepBudget {
     }
 
     /// The typed [`SchedError`] for a refusal from [`step`](Self::step),
-    /// attributed to `phase` (`"placement"`, `"regalloc"`, ...).
+    /// attributed to `phase` (`"placement"`, ...).
     pub fn stop_error(&self, stop: BudgetStop, phase: &'static str) -> SchedError {
         match stop {
             BudgetStop::Deadline => SchedError::DeadlineExceeded {

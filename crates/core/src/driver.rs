@@ -98,9 +98,10 @@ pub(crate) fn min_latency(arch: &Architecture, opcode: Opcode) -> u32 {
 /// levels, and the minimum II.
 ///
 /// Building one of these is the expensive front half of
-/// [`schedule_kernel`]; the II search inside a single call shares it
-/// across every II attempt, and the retry ladder in [`crate::retry`]
-/// builds one per `(arch, kernel)` and reuses it for the whole ladder
+/// [`schedule_kernel`](crate::schedule_kernel); the II search inside a
+/// single call shares it across every II attempt, and the relaxation
+/// ladder of a [`ScheduleRequest`](crate::ScheduleRequest) builds one per
+/// `(arch, kernel)` and reuses it for the whole ladder
 /// (every rung varies only the [`SchedulerConfig`], which no `Prepared`
 /// field depends on).
 pub(crate) struct Prepared {
@@ -112,9 +113,10 @@ pub(crate) struct Prepared {
     has_loop: bool,
 }
 
-/// Runs the configuration-independent front half of [`schedule_kernel`]:
-/// connectivity and capability checks, dependence analysis, and the dense
-/// connectivity cache build.
+/// Runs the configuration-independent front half of
+/// [`schedule_kernel`](crate::schedule_kernel): connectivity and
+/// capability checks, dependence analysis, and the dense connectivity
+/// cache build.
 ///
 /// # Errors
 ///
@@ -203,83 +205,11 @@ impl PrepCache {
     }
 }
 
-/// Schedules `kernel` on `arch` with the paper's algorithm.
+/// The paper's algorithm, behind every [`ScheduleRequest`]: optionally
+/// traced into `sink`, charged to `budget`, and run on tables already
+/// `prep`ared by an earlier rung of the same request.
 ///
-/// # Errors
-///
-/// See [`SchedError`]. On copy-connected architectures with capable units,
-/// failures only arise from exhausting the configured II or delay budgets.
-///
-/// # Examples
-///
-/// ```
-/// use csched_core::{schedule_kernel, SchedulerConfig};
-/// use csched_ir::KernelBuilder;
-/// use csched_machine::{toy, Opcode};
-///
-/// let mut kb = KernelBuilder::new("tiny");
-/// let b = kb.straight_block("b");
-/// let x = kb.push(b, Opcode::IAdd, [1i64.into(), 2i64.into()]);
-/// kb.push(b, Opcode::IAdd, [x.into(), 3i64.into()]);
-/// let kernel = kb.build()?;
-///
-/// let arch = toy::motivating_example();
-/// let schedule = schedule_kernel(&arch, &kernel, SchedulerConfig::default())?;
-/// assert!(schedule.ii().is_none()); // no loop block
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn schedule_kernel(
-    arch: &Architecture,
-    kernel: &Kernel,
-    config: SchedulerConfig,
-) -> Result<Schedule, SchedError> {
-    schedule_kernel_impl(arch, kernel, config, None, None, None)
-}
-
-/// [`schedule_kernel`] under a deterministic [`StepBudget`]: every
-/// placement attempt charges one step of `budget`, and the schedule
-/// either completes within the budget or fails with
-/// [`SchedError::DeadlineExceeded`] (or [`SchedError::Cancelled`] when
-/// the budget's [`CancelToken`](crate::CancelToken) fires).
-///
-/// The budget is denominated in placement attempts, not wall-clock time,
-/// so budgeted runs are reproducible: the same inputs spend exactly the
-/// same number of steps on every machine.
-///
-/// # Errors
-///
-/// [`SchedError::DeadlineExceeded`] / [`SchedError::Cancelled`] when the
-/// budget stops the search; otherwise identical to [`schedule_kernel`].
-pub fn schedule_kernel_budgeted(
-    arch: &Architecture,
-    kernel: &Kernel,
-    config: SchedulerConfig,
-    budget: &StepBudget,
-) -> Result<Schedule, SchedError> {
-    schedule_kernel_impl(arch, kernel, config, None, Some(budget), None)
-}
-
-/// [`schedule_kernel`] with every pipeline decision traced into `sink`.
-///
-/// Emits [`TraceEvent`]s for the driver's II search
-/// ([`TraceEvent::IiStart`], [`TraceEvent::SlackWidened`]) and for every
-/// engine decision (placement attempts/accepts/rejects, stub allocation
-/// and revision, route closing, copy insertion). The untraced entry point
-/// pays only a never-taken branch per emission site — perfbench measures
-/// what tracing costs as `trace_overhead_s`.
-///
-/// # Errors
-///
-/// Identical to [`schedule_kernel`].
-pub fn schedule_kernel_traced(
-    arch: &Architecture,
-    kernel: &Kernel,
-    config: SchedulerConfig,
-    sink: &mut dyn TraceSink,
-) -> Result<Schedule, SchedError> {
-    schedule_kernel_impl(arch, kernel, config, Some(sink), None, None)
-}
-
+/// [`ScheduleRequest`]: crate::ScheduleRequest
 pub(crate) fn schedule_kernel_impl(
     arch: &Architecture,
     kernel: &Kernel,
@@ -355,19 +285,12 @@ pub(crate) fn schedule_kernel_impl(
                     }
                     return Err(block_failed(kernel, block, op));
                 }
-                Err(RunError::Block(b, op)) => {
+                Err(RunError::Block(..)) => {
                     if let Some(e) = engine.take_internal_error() {
                         return Err(e);
                     }
                     if let (Some(stop), Some(bu)) = (engine.take_budget_stop(), budget) {
                         return Err(bu.stop_error(stop, "placement"));
-                    }
-                    if std::env::var_os("CSCHED_DEBUG").is_some() {
-                        eprintln!(
-                            "[csched] II={ii} failed at {op} ({:?}) in block {b}, attempts={}",
-                            kernel.op(op).opcode(),
-                            engine.stats.attempts
-                        );
                     }
                     if engine.stats.cross_block_copy_failures > 0 && slack_round == 0 {
                         break; // §4.5: widen the writer-side copy range
@@ -647,6 +570,7 @@ fn schedule_block_cycle_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule_kernel;
     use csched_ir::KernelBuilder;
     use csched_machine::toy;
 

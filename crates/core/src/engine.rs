@@ -52,7 +52,7 @@
 use std::sync::Arc;
 
 use csched_ir::{BlockId, Kernel};
-use csched_machine::{Architecture, Capability, FuId, Opcode, ReadStub, ResourceMap, WriteStub};
+use csched_machine::{Architecture, Capability, FuId, ReadStub, ResourceMap, WriteStub};
 
 use crate::conn::ConnCache;
 
@@ -87,21 +87,6 @@ enum Undo {
         operands: usize,
     },
     CommAdded,
-}
-
-/// Cached lookup of the `CSCHED_DEBUG{n}` environment flags.
-///
-/// Setting `CSCHED_DEBUG2=1` prints failed copy insertions and
-/// `CSCHED_DEBUG3=1` prints every rejected copy placement with the phase
-/// that rejected it; the driver prints per-II failures under
-/// `CSCHED_DEBUG=1`. These exist for scheduler debugging and are
-/// read once per process.
-pub(crate) fn debug_env(n: usize) -> bool {
-    use std::sync::OnceLock;
-    static FLAGS: OnceLock<[bool; 4]> = OnceLock::new();
-    FLAGS.get_or_init(|| {
-        [0, 1, 2, 3].map(|i| std::env::var_os(format!("CSCHED_DEBUG{i}")).is_some())
-    })[n]
 }
 
 /// An engine savepoint.
@@ -762,12 +747,8 @@ impl<'a> Engine<'a> {
         depth: usize,
         allow_copies: bool,
     ) -> bool {
-        let dbg = self.universe.op(op).opcode == Opcode::Copy && debug_env(3);
         let block = self.block_of(op);
         if !self.tables[block.index()].place_issue(cycle, fu, cap.issue_interval, op) {
-            if dbg {
-                eprintln!("[copyplace] {op} {fu}@{cycle}: issue slot busy");
-            }
             self.last_reject = RejectReason::IssueSlot;
             return false;
         }
@@ -788,50 +769,38 @@ impl<'a> Engine<'a> {
         // full §4.3 re-permutation of every open stub on the affected rows
         // (which may revise other open communications' stubs to make room).
         let sp_steps = self.savepoint();
-        if self.steps_two_to_five(op, fu, cycle, cap, depth, true, allow_copies, dbg) {
+        if self.steps_two_to_five(op, cycle, cap, depth, true, allow_copies) {
             return true;
         }
         self.rollback(&sp_steps);
-        self.steps_two_to_five(op, fu, cycle, cap, depth, false, allow_copies, dbg)
+        self.steps_two_to_five(op, cycle, cap, depth, false, allow_copies)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn steps_two_to_five(
         &mut self,
         op: SOpId,
-        fu: FuId,
         cycle: i64,
         cap: Capability,
         depth: usize,
         fast: bool,
         allow_copies: bool,
-        dbg: bool,
     ) -> bool {
         let block = self.block_of(op);
         let only = fast.then_some(op);
         // Step 2: permutation of read stubs on the issue row.
         if !self.permute_reads(block, cycle, only) {
-            if dbg {
-                eprintln!("[copyplace] {op} {fu}@{cycle}: read permutation failed (fast={fast})");
-            }
             self.last_reject = RejectReason::ReadPermutation;
             return false;
         }
         // Step 3: permutation of write stubs on the completion row.
         let completion = cycle + cap.latency as i64 - 1;
         if self.universe.op(op).has_result && !self.permute_writes(block, completion, only) {
-            if dbg {
-                eprintln!("[copyplace] {op} {fu}@{cycle}: write permutation failed (fast={fast})");
-            }
             self.last_reject = RejectReason::WritePermutation;
             return false;
         }
         // Steps 4 + 5: assign routes / insert copies for closing comms.
         let r = self.close_comms(op, depth, allow_copies);
         if !r {
-            if dbg {
-                eprintln!("[copyplace] {op} {fu}@{cycle}: closing failed (fast={fast})");
-            }
             self.last_reject = RejectReason::Closing;
         }
         r
@@ -1452,15 +1421,6 @@ impl<'a> Engine<'a> {
             return self.close_direct(cid, Route { wstub, rstub: r });
         }
         // Step 5: connect the stubs with a copy operation.
-        if debug_env(2) {
-            let info2 = self.comm_info[cid.index()];
-            eprintln!(
-                "[closeone] {cid:?} prod={:?} cons={:?} slot={} wstub_frozen={} op_frozen={} wrf={:?} rrf={:?}",
-                c.producer, c.consumer, c.slot, info2.wstub_frozen,
-                self.operand_frozen[operand_idx],
-                info2.wstub.map(|w| w.rf), rstub.rf
-            );
-        }
         self.insert_copy(cid, depth, allow_copies)
     }
 
@@ -1854,14 +1814,6 @@ impl<'a> Engine<'a> {
             // the driver widens the writer-side slack instead (the paper's
             // §4.5 backtracking, expressed as range growth).
             self.stats.cross_block_copy_failures += 1;
-        }
-        if debug_env(2) {
-            eprintln!(
-                "[copyfail] comm {cid:?} range {range_lo}..={range_hi} wrf={:?} rrf={:?} fus={:?} tries={tries}",
-                wstub.rf,
-                rstub.rf,
-                fus.iter().take(4).collect::<Vec<_>>()
-            );
         }
         false
     }

@@ -83,8 +83,7 @@ pub enum SchedError {
         spent: u64,
         /// The configured limit.
         limit: u64,
-        /// The pipeline phase that hit the limit (`"placement"`,
-        /// `"regalloc"`).
+        /// The pipeline phase that hit the limit (`"placement"`).
         phase: &'static str,
     },
     /// The scheduling call's [`CancelToken`](crate::CancelToken) was
@@ -246,9 +245,9 @@ mod tests {
             "deadline exceeded in placement: 512 of 512 placement attempts spent"
         );
 
-        let e = SchedError::Cancelled { phase: "regalloc" };
+        let e = SchedError::Cancelled { phase: "placement" };
         assert!(!e.is_retryable());
-        assert_eq!(e.to_string(), "cancelled in regalloc");
+        assert_eq!(e.to_string(), "cancelled in placement");
     }
 
     #[test]

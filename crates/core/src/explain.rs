@@ -631,7 +631,8 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{res_mii, schedule_kernel};
+    use crate::driver::res_mii;
+    use crate::schedule_kernel;
     use crate::SchedulerConfig;
     use csched_ir::KernelBuilder;
     use csched_ir::Operand;

@@ -26,14 +26,17 @@
 //! splitmix64 generator, so a campaign seed reproduces the exact same
 //! fault combinations (and, because the scheduler and budget are both
 //! deterministic, the exact same verdicts) on every machine.
+//!
+//! [`schedule_kernel`]: crate::schedule_kernel
 
 use csched_ir::Kernel;
 use csched_machine::{Architecture, FaultSpec};
 
 use crate::budget::StepBudget;
 use crate::config::SchedulerConfig;
-use crate::driver::{not_copy_connected, schedule_kernel, schedule_kernel_budgeted};
+use crate::driver::not_copy_connected;
 use crate::error::SchedError;
+use crate::request::ScheduleRequest;
 use crate::validate;
 
 /// Outcome of scheduling one kernel on one degraded machine.
@@ -103,40 +106,32 @@ pub struct CampaignEntry {
 }
 
 /// Schedules `kernel` on `arch` degraded by `faults`, validating any
-/// produced schedule against the degraded machine.
+/// produced schedule against the degraded machine. With a `budget`,
+/// every placement attempt is charged to it and a tripped budget becomes
+/// [`FaultVerdict::TimedOut`].
 pub fn schedule_degraded(
     arch: &Architecture,
     faults: &[FaultSpec],
     kernel: &Kernel,
     config: SchedulerConfig,
+    budget: Option<&StepBudget>,
 ) -> FaultVerdict {
     let degraded = arch.with_faults(faults);
-    verdict_of(
-        &degraded,
-        kernel,
-        schedule_kernel(&degraded, kernel, config),
-    )
-}
-
-/// Like [`schedule_degraded`], but charges every placement attempt to
-/// `budget`; a tripped budget becomes [`FaultVerdict::TimedOut`].
-pub fn schedule_degraded_budgeted(
-    arch: &Architecture,
-    faults: &[FaultSpec],
-    kernel: &Kernel,
-    config: SchedulerConfig,
-    budget: &StepBudget,
-) -> FaultVerdict {
-    let degraded = arch.with_faults(faults);
-    match schedule_kernel_budgeted(&degraded, kernel, config, budget) {
-        Err(SchedError::DeadlineExceeded { spent, limit, .. }) => {
+    let (result, _) = ScheduleRequest {
+        config,
+        budget,
+        ..ScheduleRequest::default()
+    }
+    .run(&degraded, kernel);
+    match (result, budget) {
+        (Err(SchedError::DeadlineExceeded { spent, limit, .. }), _) => {
             FaultVerdict::TimedOut { spent, limit }
         }
-        Err(SchedError::Cancelled { .. }) => FaultVerdict::TimedOut {
-            spent: budget.spent(),
-            limit: budget.limit(),
+        (Err(SchedError::Cancelled { .. }), Some(b)) => FaultVerdict::TimedOut {
+            spent: b.spent(),
+            limit: b.limit(),
         },
-        result => verdict_of(&degraded, kernel, result),
+        (result, _) => verdict_of(&degraded, kernel, result),
     }
 }
 
@@ -174,7 +169,7 @@ pub fn single_fault_campaign(
     for fault in arch.single_resource_faults() {
         let fault_desc = fault.describe(arch);
         for &(name, kernel) in kernels {
-            let verdict = schedule_degraded(arch, &[fault], kernel, config.clone());
+            let verdict = schedule_degraded(arch, &[fault], kernel, config.clone(), None);
             entries.push(CampaignEntry {
                 fault,
                 fault_desc: fault_desc.clone(),
@@ -190,6 +185,8 @@ pub fn single_fault_campaign(
 /// before any search runs: the degraded machine loses Appendix A copy
 /// connectivity, or some opcode of the kernel loses every capable unit.
 /// Returned with the typed error [`schedule_kernel`] would report.
+///
+/// [`schedule_kernel`]: crate::schedule_kernel
 pub fn breaking_faults(arch: &Architecture, kernel: &Kernel) -> Vec<(FaultSpec, SchedError)> {
     let mut broken = Vec::new();
     for fault in arch.single_resource_faults() {
@@ -350,8 +347,7 @@ pub fn chaos_campaign(
         let fault_descs: Vec<String> = faults.iter().map(|f| f.describe(arch)).collect();
         for &(name, kernel) in kernels {
             let budget = StepBudget::new(chaos.step_limit);
-            let verdict =
-                schedule_degraded_budgeted(arch, &faults, kernel, config.clone(), &budget);
+            let verdict = schedule_degraded(arch, &faults, kernel, config.clone(), Some(&budget));
             entries.push(ChaosEntry {
                 run,
                 faults: faults.clone(),

@@ -13,7 +13,9 @@
 //!
 //! - [`schedule_kernel`]: the full scheduler (UAS-style list scheduling
 //!   for straight-line blocks, modulo scheduling for the software-pipelined
-//!   loop, both gated by communication scheduling);
+//!   loop, both gated by communication scheduling), and
+//!   [`ScheduleRequest`], the same call with a relaxation ladder, a work
+//!   budget or a trace sink attached;
 //! - [`Engine`]: the placement accept/reject machinery (the five steps of
 //!   paper §4.3), reusable inside other scheduling algorithms;
 //! - [`validate`]: an independent checker that re-derives every resource
@@ -69,7 +71,7 @@ pub mod explain;
 pub mod faultinject;
 pub mod metrics;
 pub mod regalloc;
-mod retry;
+mod request;
 mod schedule;
 mod table;
 pub mod trace;
@@ -79,15 +81,15 @@ pub mod validate;
 pub use budget::{BudgetStop, CancelToken, StepBudget, WatchGuard, Watchdog};
 pub use config::{ScheduleOrder, SchedulerConfig};
 pub use conn::ConnCache;
-pub use driver::{res_mii, schedule_kernel, schedule_kernel_budgeted, schedule_kernel_traced};
+pub use driver::res_mii;
 pub use engine::{Engine, OrderEdge};
 pub use error::SchedError;
-pub use exact::{certify_min_ii, certify_min_ii_traced, ExactConfig, ExactReport, ExactVerdict};
+pub use exact::{certify_min_ii, ExactConfig, ExactReport, ExactVerdict};
 pub use explain::{explain, Binding, Counterfactual, Explanation, ResourceRank};
 pub use metrics::ScheduleMetrics;
-pub use retry::{
-    schedule_kernel_anytime, schedule_kernel_anytime_traced, schedule_kernel_with_retry,
-    schedule_kernel_with_retry_budgeted, AnytimeReport, Attempt, RetryPolicy, ScheduleReport,
+pub use request::{
+    schedule_kernel, schedule_kernel_anytime, schedule_kernel_budgeted, Attempt, RetryPolicy,
+    ScheduleReport, ScheduleRequest,
 };
 pub use schedule::{CommDisposition, PipelineSlot, Route, SchedStats, Schedule, ScheduledOp};
 pub use table::{ResourceTable, TableMode};

@@ -23,7 +23,6 @@ use csched_ir::{DepGraph, Kernel};
 use csched_machine::{Architecture, ReadPortId, Resource, ResourceMap, RfId, WritePortId};
 
 use crate::driver::{min_latency, res_mii};
-use crate::retry::ScheduleReport;
 use crate::schedule::Schedule;
 use crate::table::{ResourceTable, TableMode};
 use crate::trace::json_escape;
@@ -73,26 +72,9 @@ pub struct BlockOccupancy {
     pub read_ports: Vec<ResourceLoad>,
 }
 
-/// Cost of one retry-ladder rung, carried into the metrics summary from a
-/// [`ScheduleReport`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RungCost {
-    /// Zero-based attempt number.
-    pub attempt: usize,
-    /// The relaxation the rung applied.
-    pub relaxation: String,
-    /// II cap the rung searched under.
-    pub max_ii: u32,
-    /// Placement attempts granted from the retry budget.
-    pub attempts_granted: u64,
-    /// Whether the rung produced a schedule.
-    pub ok: bool,
-}
-
 /// Summary of one finished schedule on one architecture.
 ///
-/// Built by [`ScheduleMetrics::compute`]; retry-ladder costs can be
-/// attached with [`ScheduleMetrics::with_report`].
+/// Built by [`ScheduleMetrics::compute`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScheduleMetrics {
     /// Kernel name.
@@ -126,9 +108,6 @@ pub struct ScheduleMetrics {
     pub backtracked: bool,
     /// Per-block resource occupancy.
     pub blocks: Vec<BlockOccupancy>,
-    /// Retry-ladder costs, when attached via
-    /// [`ScheduleMetrics::with_report`].
-    pub retry_rungs: Vec<RungCost>,
 }
 
 impl ScheduleMetrics {
@@ -301,25 +280,7 @@ impl ScheduleMetrics {
             ii_tried: stats.ii_tried,
             backtracked: stats.backtracked,
             blocks,
-            retry_rungs: Vec::new(),
         }
-    }
-
-    /// Attaches the retry-ladder costs of `report` (one [`RungCost`] per
-    /// attempt, in order).
-    pub fn with_report(mut self, report: &ScheduleReport) -> Self {
-        self.retry_rungs = report
-            .attempts
-            .iter()
-            .map(|a| RungCost {
-                attempt: a.attempt,
-                relaxation: a.relaxation.to_string(),
-                max_ii: a.max_ii,
-                attempts_granted: a.attempts_granted,
-                ok: a.error.is_none(),
-            })
-            .collect();
-        self
     }
 
     /// Renders the metrics as one JSON object.
@@ -348,23 +309,7 @@ impl ScheduleMetrics {
              \"backtracked\":{}",
             self.attempts, self.rejections, self.attempts_per_op, self.ii_tried, self.backtracked
         );
-        s.push_str(",\"retry_rungs\":[");
-        for (i, r) in self.retry_rungs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"attempt\":{},\"relaxation\":\"{}\",\"max_ii\":{},\"attempts_granted\":{},\
-                 \"ok\":{}}}",
-                r.attempt,
-                json_escape(&r.relaxation),
-                r.max_ii,
-                r.attempts_granted,
-                r.ok
-            );
-        }
-        s.push_str("],\"blocks\":[");
+        s.push_str(",\"blocks\":[");
         for (i, b) in self.blocks.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -491,7 +436,7 @@ fn port_name(arch: &Architecture, rf: RfId, global_index: usize, write: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::schedule_kernel;
+    use crate::schedule_kernel;
     use crate::SchedulerConfig;
     use csched_ir::KernelBuilder;
     use csched_machine::{toy, Opcode};

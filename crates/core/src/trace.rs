@@ -5,7 +5,8 @@
 //! a permutation or a copy chain fails. That makes it a black box — when
 //! an II is missed there is normally no record of *why*. This module is
 //! the observability layer: the engine, driver, and retry ladder emit
-//! typed [`TraceEvent`]s into a [`TraceSink`] supplied by the caller.
+//! typed [`TraceEvent`]s into a [`TraceSink`] supplied by the caller as
+//! [`ScheduleRequest::sink`](crate::ScheduleRequest::sink).
 //!
 //! Tracing is **zero-cost when disabled**: the engine holds an
 //! `Option<&mut dyn TraceSink>` that defaults to `None`, so the untraced
@@ -26,7 +27,7 @@
 //!
 //! ```
 //! use csched_core::trace::{RingBufferSink, TraceEvent};
-//! use csched_core::{schedule_kernel_traced, SchedulerConfig};
+//! use csched_core::{ScheduleRequest, SchedulerConfig};
 //! use csched_ir::KernelBuilder;
 //! use csched_machine::{toy, Opcode};
 //!
@@ -38,7 +39,13 @@
 //!
 //! let arch = toy::motivating_example();
 //! let mut sink = RingBufferSink::new(1024);
-//! let schedule = schedule_kernel_traced(&arch, &kernel, SchedulerConfig::default(), &mut sink)?;
+//! let (schedule, _report) = ScheduleRequest {
+//!     config: SchedulerConfig::default(),
+//!     sink: Some(&mut sink),
+//!     ..ScheduleRequest::default()
+//! }
+//! .run(&arch, &kernel);
+//! schedule?;
 //! let accepts = sink
 //!     .events()
 //!     .filter(|e| matches!(e, TraceEvent::PlaceAccept { .. }))
@@ -208,27 +215,6 @@ pub enum TraceEvent {
         /// Scheduled-op index of the reused copy.
         copy: u32,
     },
-    /// The register post-pass computed the demand of one register file.
-    RfPressure {
-        /// Register-file index.
-        rf: u32,
-        /// Registers the schedule requires in the file.
-        required: u32,
-        /// Registers the file physically has.
-        capacity: u32,
-    },
-    /// The register post-pass proposed spilling a value out of an
-    /// overflowing register file.
-    SpillPlanned {
-        /// Producing operation of the value to spill.
-        value: u32,
-        /// The overflowing file it stages through.
-        from: u32,
-        /// Proposed destination file index, or -1 when no file has room.
-        to: i64,
-        /// Copies needed per direction to reach the destination.
-        copies: u32,
-    },
     /// A [`StepBudget`](crate::StepBudget) refused further work: the
     /// placement-attempt limit was reached, or the attached
     /// [`CancelToken`](crate::CancelToken) fired.
@@ -237,8 +223,7 @@ pub enum TraceEvent {
         spent: u64,
         /// The configured limit.
         limit: u64,
-        /// Pipeline phase that hit the limit (`"placement"`,
-        /// `"regalloc"`).
+        /// Pipeline phase that hit the limit (`"placement"`).
         phase: String,
         /// `true` when the stop came from cancellation rather than the
         /// attempt limit.
@@ -252,29 +237,6 @@ pub enum TraceEvent {
         relaxation: String,
         /// II cap in force for this rung.
         max_ii: u32,
-    },
-    /// The exact oracle started a branch-and-bound search at this
-    /// candidate initiation interval.
-    ExactIiStart {
-        /// Candidate initiation interval under search.
-        ii: u32,
-    },
-    /// The exact oracle finished searching one candidate II; the node and
-    /// prune counters say *why* an infeasible II failed (which resource
-    /// class dominated the refutation).
-    ExactIiDone {
-        /// Candidate initiation interval searched.
-        ii: u32,
-        /// Whether a schedule was found.
-        feasible: bool,
-        /// Search nodes expanded.
-        nodes: u64,
-        /// Trials pruned by occupied issue slots.
-        pruned_issue: u64,
-        /// Placements pruned by empty dependence windows.
-        pruned_timing: u64,
-        /// Routing trials pruned by stub resource conflicts.
-        pruned_routing: u64,
     },
     /// A kernel failed to parse; the span information of
     /// [`csched_ir::text::ParseError`] is preserved structurally.
@@ -319,12 +281,8 @@ impl TraceEvent {
             TraceEvent::RouteClosed { .. } => "route_closed",
             TraceEvent::CopyInserted { .. } => "copy_inserted",
             TraceEvent::CopyReused { .. } => "copy_reused",
-            TraceEvent::RfPressure { .. } => "rf_pressure",
-            TraceEvent::SpillPlanned { .. } => "spill_planned",
             TraceEvent::DeadlineExceeded { .. } => "deadline_exceeded",
             TraceEvent::RungAdvanced { .. } => "rung_advanced",
-            TraceEvent::ExactIiStart { .. } => "exact_ii_start",
-            TraceEvent::ExactIiDone { .. } => "exact_ii_done",
             TraceEvent::ParseFailed { .. } => "parse_failed",
         }
     }
@@ -378,27 +336,6 @@ impl TraceEvent {
             TraceEvent::CopyInserted { comm, copy } | TraceEvent::CopyReused { comm, copy } => {
                 let _ = write!(s, ",\"comm\":{comm},\"copy\":{copy}");
             }
-            TraceEvent::RfPressure {
-                rf,
-                required,
-                capacity,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"rf\":{rf},\"required\":{required},\"capacity\":{capacity}"
-                );
-            }
-            TraceEvent::SpillPlanned {
-                value,
-                from,
-                to,
-                copies,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"value\":{value},\"from\":{from},\"to\":{to},\"copies\":{copies}"
-                );
-            }
             TraceEvent::DeadlineExceeded {
                 spent,
                 limit,
@@ -420,24 +357,6 @@ impl TraceEvent {
                     s,
                     ",\"attempt\":{attempt},\"relaxation\":\"{}\",\"max_ii\":{max_ii}",
                     json_escape(relaxation)
-                );
-            }
-            TraceEvent::ExactIiStart { ii } => {
-                let _ = write!(s, ",\"ii\":{ii}");
-            }
-            TraceEvent::ExactIiDone {
-                ii,
-                feasible,
-                nodes,
-                pruned_issue,
-                pruned_timing,
-                pruned_routing,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ii\":{ii},\"feasible\":{feasible},\"nodes\":{nodes},\
-                     \"pruned_issue\":{pruned_issue},\"pruned_timing\":{pruned_timing},\
-                     \"pruned_routing\":{pruned_routing}"
                 );
             }
             TraceEvent::ParseFailed {

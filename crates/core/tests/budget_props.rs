@@ -1,13 +1,10 @@
 //! Property tests for the placement-attempt budget: across random retry
-//! policies and budget limits, `schedule_kernel_with_retry` never spends
+//! policies and budget limits, a [`ScheduleRequest`] ladder never spends
 //! more placement attempts than its policy's budget (summed over every
-//! rung of the relaxation ladder), and a shared caller budget bounds the
-//! whole call the same way.
+//! acquisition and improvement rung), and a shared caller budget bounds
+//! the whole call the same way.
 
-use csched_core::{
-    schedule_kernel_with_retry, schedule_kernel_with_retry_budgeted, RetryPolicy, SchedError,
-    SchedulerConfig, StepBudget,
-};
+use csched_core::{RetryPolicy, SchedError, ScheduleRequest, SchedulerConfig, StepBudget};
 use csched_ir::{Kernel, KernelBuilder};
 use csched_machine::{imagine, Opcode};
 use proptest::prelude::*;
@@ -44,8 +41,12 @@ proptest! {
         let arch = imagine::distributed();
         let kernel = chained_kernel(width);
         let policy = RetryPolicy { max_attempts, budget };
-        let (result, report) =
-            schedule_kernel_with_retry(&arch, &kernel, SchedulerConfig::default(), &policy);
+        let (result, report) = ScheduleRequest {
+            config: SchedulerConfig::default(),
+            retry: Some(policy),
+            ..ScheduleRequest::default()
+        }
+        .run(&arch, &kernel);
         let ceiling = budget.max(1);
         prop_assert!(
             report.attempts_spent <= ceiling,
@@ -53,7 +54,7 @@ proptest! {
             report.attempts_spent, budget, ceiling
         );
         // Per-rung grants are each within the ceiling too.
-        for a in &report.attempts {
+        for a in report.attempts.iter().chain(&report.improvements) {
             prop_assert!(a.attempts_granted <= ceiling);
         }
         // A tripped budget surfaces as the typed deadline error, never a
@@ -73,8 +74,13 @@ proptest! {
         let kernel = chained_kernel(width);
         let budget = StepBudget::new(limit);
         let policy = RetryPolicy::default();
-        let (_result, report) = schedule_kernel_with_retry_budgeted(
-            &arch, &kernel, SchedulerConfig::default(), &policy, &budget);
+        let (_result, report) = ScheduleRequest {
+            config: SchedulerConfig::default(),
+            retry: Some(policy),
+            budget: Some(&budget),
+            sink: None,
+        }
+        .run(&arch, &kernel);
         prop_assert!(budget.spent() <= limit);
         prop_assert_eq!(report.attempts_spent, budget.spent());
     }

@@ -19,12 +19,24 @@
 use std::collections::HashSet;
 
 use csched_core::metrics::ScheduleMetrics;
-use csched_core::trace::{decision_filter, JsonlSink};
+use csched_core::trace::{decision_filter, JsonlSink, TraceSink};
 use csched_core::{
-    schedule_kernel, schedule_kernel_traced, validate, ResourceTable, SchedulerConfig, TableMode,
+    schedule_kernel, validate, ResourceTable, Schedule, ScheduleRequest, SchedulerConfig, TableMode,
 };
 use csched_ir::{Kernel, KernelBuilder};
-use csched_machine::{fnv1a, imagine, toy, Resource, ResourceMap};
+use csched_machine::{fnv1a, imagine, toy, Architecture, Resource, ResourceMap};
+
+/// A single-pass schedule with every decision traced into `sink`.
+fn schedule_traced(arch: &Architecture, kernel: &Kernel, sink: &mut dyn TraceSink) -> Schedule {
+    ScheduleRequest {
+        config: SchedulerConfig::default(),
+        sink: Some(sink),
+        ..ScheduleRequest::default()
+    }
+    .run(arch, kernel)
+    .0
+    .unwrap()
+}
 
 /// Figure 4: `a = load; b = 1+2; c = 3+4; _ = a+b; _ = a+c` plus stores.
 fn figure4() -> Kernel {
@@ -46,8 +58,7 @@ fn motivating_example_trace_matches_golden_file() {
     let arch = toy::motivating_example();
     let kernel = figure4();
     let mut sink = JsonlSink::with_filter(decision_filter);
-    let schedule =
-        schedule_kernel_traced(&arch, &kernel, SchedulerConfig::default(), &mut sink).unwrap();
+    let schedule = schedule_traced(&arch, &kernel, &mut sink);
     validate::validate(&arch, &kernel, &schedule).unwrap();
     let got = sink.into_string();
 
@@ -79,8 +90,7 @@ fn copy_inserting_cell_trace_digest_is_pinned() {
     let arch = imagine::distributed();
     let w = csched_kernels::by_name("DCT").unwrap();
     let mut sink = JsonlSink::new();
-    let schedule =
-        schedule_kernel_traced(&arch, &w.kernel, SchedulerConfig::default(), &mut sink).unwrap();
+    let schedule = schedule_traced(&arch, &w.kernel, &mut sink);
     assert_eq!(
         (
             schedule.ii(),
@@ -103,8 +113,7 @@ fn traced_and_untraced_schedules_are_identical() {
     let kernel = figure4();
     let plain = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
     let mut sink = JsonlSink::new();
-    let traced =
-        schedule_kernel_traced(&arch, &kernel, SchedulerConfig::default(), &mut sink).unwrap();
+    let traced = schedule_traced(&arch, &kernel, &mut sink);
     assert!(sink.lines() > 0);
     for op in plain.universe().op_ids() {
         assert_eq!(plain.placement(op), traced.placement(op));
@@ -116,7 +125,7 @@ fn every_trace_line_is_a_json_object() {
     let arch = toy::motivating_example();
     let kernel = figure4();
     let mut sink = JsonlSink::new();
-    schedule_kernel_traced(&arch, &kernel, SchedulerConfig::default(), &mut sink).unwrap();
+    schedule_traced(&arch, &kernel, &mut sink);
     for line in sink.as_str().lines() {
         assert!(
             line.starts_with("{\"event\":\"") && line.ends_with('}'),

@@ -31,6 +31,38 @@ use std::process::ExitCode;
 
 use args::{CliError, Outcome};
 
+// Every subcommand writes its stdout through these two macros, which
+// shadow the standard ones for the whole crate: when the reader of
+// stdout has gone away (`csched table1 --metrics-json | head -c 100`),
+// the command ends quietly with exit 0 instead of panicking.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+macro_rules! println {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed pipe ends the process with exit 0 — the
+/// reader took what it wanted; any other write error ends it with
+/// exit 1 and a message on stderr.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("csched: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+        std::process::exit(0);
+    }
+}
+
 mod ablation;
 mod args;
 mod bench;

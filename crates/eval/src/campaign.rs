@@ -24,6 +24,7 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use csched_core::trace::json_escape;
+use csched_core::validate::ValidationError;
 use csched_core::{
     regalloc, schedule_kernel_budgeted, validate, SchedError, SchedulerConfig, StepBudget,
 };
@@ -576,7 +577,12 @@ pub fn run_campaign_jobs(
         jobs,
         |_, &(name, kernel, arch, key)| match resume.get(&key) {
             Some(done) => (false, key, done.clone()),
-            None => (true, key, run_cell(name, kernel, arch, config, step_limit)),
+            None => {
+                let budget = StepBudget::new(step_limit);
+                let timeout = format!("step limit {step_limit} exhausted");
+                let record = run_cell(name, kernel, arch, config, &budget, &timeout);
+                (true, key, record)
+            }
         },
         |_, (fresh, key, record)| {
             if *fresh {
@@ -595,14 +601,19 @@ pub fn run_campaign_jobs(
     })
 }
 
-fn run_cell(
+/// Schedules one cell under `budget`, validates the schedule and sizes
+/// its registers. The record's attempts are what this cell charged to
+/// `budget` (which may be shared with earlier cells); a tripped budget
+/// records `timeout` as the detail.
+pub(crate) fn run_cell(
     name: &str,
     kernel: &Kernel,
     arch: &Architecture,
     config: &SchedulerConfig,
-    step_limit: u64,
+    budget: &StepBudget,
+    timeout: &str,
 ) -> CellRecord {
-    let budget = StepBudget::new(step_limit);
+    let before = budget.spent();
     let mut record = CellRecord {
         kernel: name.to_string(),
         arch: arch.name().to_string(),
@@ -613,7 +624,7 @@ fn run_cell(
         attempts: 0,
         detail: String::new(),
     };
-    match schedule_kernel_budgeted(arch, kernel, config.clone(), &budget) {
+    match schedule_kernel_budgeted(arch, kernel, config.clone(), budget) {
         Ok(schedule) => match validate::validate(arch, kernel, &schedule) {
             Ok(()) => {
                 record.status = CellStatus::Ok;
@@ -621,27 +632,25 @@ fn run_cell(
                 record.copies = schedule.num_copies();
                 record.max_registers = regalloc::analyze(arch, kernel, &schedule).max_required();
             }
-            Err(violations) => {
-                record.detail = format!(
-                    "invalid schedule: {}",
-                    violations
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                );
-            }
+            Err(violations) => record.detail = invalid_schedule(&violations),
         },
         Err(SchedError::DeadlineExceeded { .. } | SchedError::Cancelled { .. }) => {
             record.status = CellStatus::TimedOut;
-            record.detail = format!("step limit {step_limit} exhausted");
+            record.detail = timeout.to_string();
         }
         Err(e) => {
             record.detail = e.to_string();
         }
     }
-    record.attempts = budget.spent();
+    record.attempts = budget.spent().saturating_sub(before);
     record
+}
+
+/// The detail text for a schedule that failed validation: every
+/// violation, `; `-separated.
+pub(crate) fn invalid_schedule(violations: &[ValidationError]) -> String {
+    let list: Vec<String> = violations.iter().map(ToString::to_string).collect();
+    format!("invalid schedule: {}", list.join("; "))
 }
 
 /// Renders the campaign as one deterministic JSON document. The text is

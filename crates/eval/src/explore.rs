@@ -29,16 +29,14 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use csched_core::{
-    regalloc, schedule_kernel_budgeted, validate, SchedError, SchedulerConfig, StepBudget,
-};
+use csched_core::{SchedulerConfig, StepBudget};
 use csched_ir::Kernel;
 use csched_machine::cost::{self, CostParams};
 use csched_machine::gen::{DesignPoint, DesignSpace, Rng};
 use csched_machine::{imagine, Architecture};
 
 use crate::campaign::{
-    cell_key, config_fingerprint, CampaignError, CellRecord, CellStatus, Journal,
+    cell_key, config_fingerprint, run_cell, CampaignError, CellRecord, CellStatus, Journal,
 };
 
 /// Everything that decides an exploration's outcome (and therefore its
@@ -366,51 +364,11 @@ fn run_candidate(
     step_limit: u64,
 ) -> Vec<CellRecord> {
     let budget = StepBudget::new(step_limit);
-    let mut records = Vec::with_capacity(kernels.len());
-    for &(name, kernel) in kernels {
-        let before = budget.spent();
-        let mut record = CellRecord {
-            kernel: name.to_string(),
-            arch: arch.name().to_string(),
-            status: CellStatus::Failed,
-            ii: 0,
-            copies: 0,
-            max_registers: 0,
-            attempts: 0,
-            detail: String::new(),
-        };
-        match schedule_kernel_budgeted(arch, kernel, sched.clone(), &budget) {
-            Ok(schedule) => match validate::validate(arch, kernel, &schedule) {
-                Ok(()) => {
-                    record.status = CellStatus::Ok;
-                    record.ii = schedule.ii().unwrap_or(1);
-                    record.copies = schedule.num_copies();
-                    record.max_registers =
-                        regalloc::analyze(arch, kernel, &schedule).max_required();
-                }
-                Err(violations) => {
-                    record.detail = format!(
-                        "invalid schedule: {}",
-                        violations
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    );
-                }
-            },
-            Err(SchedError::DeadlineExceeded { .. } | SchedError::Cancelled { .. }) => {
-                record.status = CellStatus::TimedOut;
-                record.detail = format!("candidate step limit {step_limit} exhausted");
-            }
-            Err(e) => {
-                record.detail = e.to_string();
-            }
-        }
-        record.attempts = budget.spent().saturating_sub(before);
-        records.push(record);
-    }
-    records
+    let timeout = format!("candidate step limit {step_limit} exhausted");
+    kernels
+        .iter()
+        .map(|&(name, kernel)| run_cell(name, kernel, arch, sched, &budget, &timeout))
+        .collect()
 }
 
 fn score_candidate(arch: &Architecture, records: &[CellRecord]) -> Option<Score> {

@@ -25,12 +25,14 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use csched_core::exact::{certify_min_ii, ExactConfig};
-use csched_core::{schedule_kernel_budgeted, SchedulerConfig, StepBudget};
+use csched_core::{schedule_kernel_budgeted, validate, SchedulerConfig, StepBudget};
 use csched_ir::Kernel;
 use csched_machine::gen::{DesignSpace, Rng};
 use csched_machine::{imagine, Architecture};
 
-use crate::campaign::{cell_key, json_num_field, json_str_field, CampaignError, Journal};
+use crate::campaign::{
+    cell_key, invalid_schedule, json_num_field, json_str_field, CampaignError, Journal,
+};
 
 /// Configuration of one gap campaign.
 #[derive(Clone, Debug)]
@@ -211,13 +213,21 @@ pub fn gap_cells(cfg: &GapConfig) -> Vec<GapCell> {
 }
 
 /// Measures one gap cell: heuristic schedule and oracle certification
-/// under their respective step budgets.
+/// under their respective step budgets. A heuristic schedule that fails
+/// validation counts as no heuristic II, so a disagreement is only ever
+/// reported against a validated schedule.
 pub fn measure_gap_cell(arch: &Architecture, kernel: &Kernel, cfg: &GapConfig) -> GapRecord {
     let hb = StepBudget::new(cfg.heuristic_step_limit);
     let heuristic = schedule_kernel_budgeted(arch, kernel, SchedulerConfig::default(), &hb);
     let (heuristic_ii, mut detail) = match &heuristic {
-        // Loop-less kernels report II 0, matching the oracle's sentinel.
-        Ok(s) => (Some(s.ii().unwrap_or(0) as u64), String::new()),
+        Ok(s) => match validate::validate(arch, kernel, s) {
+            // Loop-less kernels report II 0, matching the oracle's sentinel.
+            Ok(()) => (Some(s.ii().unwrap_or(0) as u64), String::new()),
+            Err(violations) => (
+                None,
+                format!("heuristic: {}", invalid_schedule(&violations)),
+            ),
+        },
         Err(e) => (None, format!("heuristic: {e}")),
     };
 

@@ -24,8 +24,8 @@
 //!   [`Watchdog`] cancelling the request's
 //!   [`CancelToken`]. Socket reads and writes
 //!   carry timeouts, so a stalled client cannot pin a worker.
-//! - **Graceful degradation.** Scheduling runs the anytime ladder
-//!   ([`csched_core::schedule_kernel_anytime`]): when a deadline
+//! - **Graceful degradation.** Scheduling runs the anytime ladder (a
+//!   [`ScheduleRequest`] with a [`RetryPolicy`]): when a deadline
 //!   expires mid-ladder the response is the best relaxed-II schedule
 //!   completed so far, flagged `degraded=1`, instead of an error.
 //! - **Corruption quarantine.** The cache journal checksums every
@@ -98,7 +98,7 @@
 //!   Prometheus-style text exposition;
 //! - `TRACE [limit=] [wall_ms=] [events=<cap>] [full=1]` frames exactly
 //!   like `SCHED` but *bypasses the cache*, schedules with a
-//!   [`TraceSink`](csched_core::trace::TraceSink) attached, and streams
+//!   [`TraceSink`] attached, and streams
 //!   the decision-level trace events back as JSONL (each line gains a
 //!   leading `"req"` key), then a
 //!   `TRACE end events=<sent> total=<seen> truncated=<0|1>` summary,
@@ -121,14 +121,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use csched_core::trace::TraceSink;
 use csched_core::{
-    explain, regalloc, schedule_kernel_anytime, schedule_kernel_anytime_traced, validate,
-    CancelToken, RetryPolicy, SchedulerConfig, StepBudget, Watchdog,
+    explain, regalloc, validate, CancelToken, RetryPolicy, ScheduleRequest, SchedulerConfig,
+    StepBudget, Watchdog,
 };
 use csched_ir::Kernel;
 use csched_machine::fnv1a;
 
-use crate::campaign::{cell_key, config_fingerprint, json_num_field, CampaignError, Journal};
+use crate::campaign::{
+    cell_key, config_fingerprint, invalid_schedule, json_num_field, CampaignError, Journal,
+};
 use crate::pool::{Rejected, Service};
 use crate::telemetry::{
     elapsed_us, CacheDisposition, Outcome as SpanOutcome, RequestSpan, Telemetry, TraceCapture,
@@ -1278,16 +1281,18 @@ fn serve_one(state: &ServerState, stream: &TcpStream) -> Outcome {
             );
             Outcome::Stats
         }
-        Some("SCHED") => {
-            let mut span = new_span(state, "SCHED", header_us);
-            let outcome = serve_sched(state, &mut reader, stream, words, &phase, &mut span);
-            finish_span(state, span, req_start, &outcome);
-            outcome
-        }
-        Some("TRACE") => {
-            let mut span = new_span(state, "TRACE", header_us);
-            span.cache = CacheDisposition::Bypass;
-            let outcome = serve_trace(state, &mut reader, stream, words, &phase, &mut span);
+        Some(word @ ("SCHED" | "TRACE")) => {
+            let (name, verb) = if word == "SCHED" {
+                ("SCHED", Verb::Sched)
+            } else {
+                ("TRACE", Verb::Trace)
+            };
+            let mut span = new_span(state, name, header_us);
+            if verb == Verb::Trace {
+                span.cache = CacheDisposition::Bypass;
+            }
+            let outcome =
+                serve_schedule(state, &mut reader, stream, words, &phase, &mut span, verb);
             finish_span(state, span, req_start, &outcome);
             outcome
         }
@@ -1382,41 +1387,63 @@ fn read_section(
     String::from_utf8(body).map_err(|_| format!("{name} body is not UTF-8"))
 }
 
-fn serve_sched<'a>(
+/// A schedule-class verb. The verb decides only three things: `TRACE`'s
+/// extra `events=`/`full=` options, whether the cache is consulted and
+/// the result journaled (`SCHED` only: a trace of a warm hit would be
+/// empty, and the point of `TRACE` is the event stream), and how the
+/// response is framed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verb {
+    /// `SCHED`: a `CACHE hit|miss` line, then the `OK`/`ERR` line.
+    Sched,
+    /// `TRACE`: the retained events as JSONL — each line gains a leading
+    /// `"req"` key — then a `TRACE end` summary and the `OK`/`ERR` line.
+    Trace,
+}
+
+fn serve_schedule<'a>(
     state: &ServerState,
     reader: &mut impl BufRead,
     stream: &TcpStream,
     options: impl Iterator<Item = &'a str>,
     phase: &ReadPhase<'_>,
     span: &mut RequestSpan,
+    verb: Verb,
 ) -> Outcome {
     // Request options.
     let mut limit = state.config.step_limit;
     let mut wall_ms = state.config.wall_ms;
+    let mut event_cap = state.config.trace_event_cap;
+    let mut full = false;
     for opt in options {
-        if let Some(v) = opt.strip_prefix("limit=") {
-            match v.parse::<u64>() {
-                Ok(v) => limit = v,
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad limit= value\n");
-                    return Outcome::Malformed;
-                }
+        let parsed = match (opt.split_once('='), verb) {
+            (Some(("limit", v)), _) => v.parse().map(|v| limit = v).is_ok(),
+            // The request may tighten the server deadline, never widen it.
+            (Some(("wall_ms", v)), _) => v
+                .parse()
+                .map(|v: u64| wall_ms = Some(wall_ms.map_or(v, |server| server.min(v))))
+                .is_ok(),
+            // The client may tighten the server's event cap, never widen
+            // it — the cap is the worker-protection bound.
+            (Some(("events", v)), Verb::Trace) => v
+                .parse()
+                .map(|v: usize| event_cap = event_cap.min(v))
+                .is_ok(),
+            (Some(("full", v @ ("0" | "1"))), Verb::Trace) => {
+                full = v == "1";
+                true
             }
-        } else if let Some(v) = opt.strip_prefix("wall_ms=") {
-            match v.parse::<u64>() {
-                // The request may tighten the server deadline, never
-                // widen it.
-                Ok(v) => wall_ms = Some(wall_ms.map_or(v, |server| server.min(v))),
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad wall_ms= value\n");
-                    return Outcome::Malformed;
-                }
+            _ => {
+                let _ = respond(
+                    stream,
+                    &format!("ERR malformed unknown option {}\n", one_line(opt)),
+                );
+                return Outcome::Malformed;
             }
-        } else {
-            let _ = respond(
-                stream,
-                &format!("ERR malformed unknown option {}\n", one_line(opt)),
-            );
+        };
+        if !parsed {
+            let name = opt.split('=').next().unwrap_or(opt);
+            let _ = respond(stream, &format!("ERR malformed bad {name}= value\n"));
             return Outcome::Malformed;
         }
     }
@@ -1461,11 +1488,14 @@ fn serve_sched<'a>(
     };
     span.kernel = kernel.name().to_string();
 
-    let key = cache_key(kernel_hash(&kernel), arch.fingerprint(), &state.config_fp);
-
-    // Warm path: serve straight from the cache.
-    let t_cache = Instant::now();
-    {
+    // Warm path: serve straight from the cache. Only SCHED touches the
+    // cache, so TRACE skips hashing the request.
+    let key = match verb {
+        Verb::Sched => cache_key(kernel_hash(&kernel), arch.fingerprint(), &state.config_fp),
+        Verb::Trace => 0,
+    };
+    if verb == Verb::Sched {
+        let t_cache = Instant::now();
         let Ok(cache) = state.cache.lock() else {
             let _ = respond(stream, "ERR internal cache lock poisoned\n");
             return Outcome::Internal;
@@ -1482,9 +1512,9 @@ fn serve_sched<'a>(
             span.stages.respond_us = elapsed_us(t_respond);
             return Outcome::OkWarm;
         }
+        span.cache = CacheDisposition::Miss;
+        span.stages.cache_us = elapsed_us(t_cache);
     }
-    span.cache = CacheDisposition::Miss;
-    span.stages.cache_us = elapsed_us(t_cache);
 
     // Cold path: schedule under the request deadline.
     let t_sched = Instant::now();
@@ -1495,28 +1525,21 @@ fn serve_sched<'a>(
             .watchdog
             .watch(token.clone(), Instant::now() + Duration::from_millis(ms))
     });
-    // With telemetry on, a rollup-only sink rides along so the span can
-    // attribute the request's attempts to reject reasons and ladder
-    // rungs; with telemetry off the scheduler runs sink-free (no event
-    // is even constructed).
-    let mut capture = state.config.telemetry.then(TraceCapture::rollup_only);
-    let (result, report) = match capture.as_mut() {
-        Some(sink) => schedule_kernel_anytime_traced(
-            &arch,
-            &kernel,
-            state.config.scheduler.clone(),
-            &RetryPolicy::default(),
-            &budget,
-            sink,
-        ),
-        None => schedule_kernel_anytime(
-            &arch,
-            &kernel,
-            state.config.scheduler.clone(),
-            &RetryPolicy::default(),
-            &budget,
-        ),
+    // TRACE retains a bounded event stream. With telemetry on, SCHED
+    // attaches a rollup-only sink so the span can attribute the
+    // request's attempts to reject reasons and ladder rungs; with
+    // telemetry off it runs sink-free (no event is even constructed).
+    let mut capture = match verb {
+        Verb::Trace => Some(TraceCapture::capture(event_cap, full)),
+        Verb::Sched => state.config.telemetry.then(TraceCapture::rollup_only),
     };
+    let (result, report) = ScheduleRequest {
+        config: state.config.scheduler.clone(),
+        retry: Some(RetryPolicy::default()),
+        budget: Some(&budget),
+        sink: capture.as_mut().map(|c| c as &mut dyn TraceSink),
+    }
+    .run(&arch, &kernel);
     if let Some(capture) = &capture {
         span.rejects = capture.rejects();
         span.deadline_events = capture.deadline_events();
@@ -1524,76 +1547,121 @@ fn serve_sched<'a>(
     }
     span.attempts = report.attempts_spent;
     span.degraded = report.degraded;
-    match result {
-        Ok(schedule) => {
-            if let Err(violations) = validate::validate(&arch, &kernel, &schedule) {
-                let detail = violations
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                let _ = respond(
-                    stream,
-                    &format!("ERR internal invalid schedule: {}\n", one_line(&detail)),
-                );
-                return Outcome::Internal;
+    // The cold answer: a cache entry, or the outcome and its `ERR` line.
+    let answer = match result {
+        Ok(schedule) => match validate::validate(&arch, &kernel, &schedule) {
+            Ok(()) => {
+                span.ii = schedule.ii().unwrap_or(0);
+                if state.config.telemetry {
+                    // Binding-constraint attribution for the dashboard's
+                    // slow-request ring: one cheap analysis pass over the
+                    // finished schedule.
+                    span.binding = explain::explain(&arch, &kernel, &schedule).binding.kind();
+                }
+                Ok(CacheEntry {
+                    ii: schedule.ii().unwrap_or(0),
+                    copies: schedule.num_copies() as u64,
+                    max_registers: regalloc::analyze(&arch, &kernel, &schedule).max_required()
+                        as u64,
+                    attempts: report.attempts_spent,
+                    degraded: report.degraded,
+                    limit,
+                })
             }
-            span.ii = schedule.ii().unwrap_or(0);
-            if state.config.telemetry {
-                // Binding-constraint attribution for the dashboard's
-                // slow-request ring: one cheap analysis pass over the
-                // finished schedule.
-                span.binding = explain::explain(&arch, &kernel, &schedule).binding.kind();
-            }
-            let entry = CacheEntry {
-                ii: schedule.ii().unwrap_or(0),
-                copies: schedule.num_copies() as u64,
-                max_registers: regalloc::analyze(&arch, &kernel, &schedule).max_required() as u64,
-                attempts: report.attempts_spent,
-                degraded: report.degraded,
-                limit,
-            };
-            span.stages.sched_us = elapsed_us(t_sched);
+            Err(violations) => Err((
+                Outcome::Internal,
+                format!(
+                    "ERR internal {}\n",
+                    one_line(&invalid_schedule(&violations))
+                ),
+            )),
+        },
+        Err(e) if e.is_budget_stop() => Err((
+            Outcome::Deadline,
+            format!("ERR deadline {}\n", one_line(&e.to_string())),
+        )),
+        Err(e) => Err((
+            Outcome::Sched,
+            format!("ERR sched {}\n", one_line(&e.to_string())),
+        )),
+    };
+    span.stages.sched_us = elapsed_us(t_sched);
+
+    let (text, outcome) = match (verb, answer) {
+        (Verb::Sched, Ok(entry)) => {
             // Journal before responding: a response is only ever sent
             // for a durably recorded entry, so a crash immediately after
             // the response still serves this key warm on restart.
             let t_journal = Instant::now();
-            {
-                let Ok(mut cache) = state.cache.lock() else {
-                    let _ = respond(stream, "ERR internal cache lock poisoned\n");
-                    return Outcome::Internal;
-                };
-                if let Err(e) = cache.insert(key, entry.clone()) {
-                    drop(cache);
-                    let _ = respond(
-                        stream,
-                        &format!("ERR internal cache append: {}\n", one_line(&e.to_string())),
-                    );
-                    return Outcome::Internal;
-                }
+            let Ok(mut cache) = state.cache.lock() else {
+                let _ = respond(stream, "ERR internal cache lock poisoned\n");
+                return Outcome::Internal;
+            };
+            if let Err(e) = cache.insert(key, entry.clone()) {
+                drop(cache);
+                let _ = respond(
+                    stream,
+                    &format!("ERR internal cache append: {}\n", one_line(&e.to_string())),
+                );
+                return Outcome::Internal;
             }
+            drop(cache);
             span.stages.journal_us = elapsed_us(t_journal);
-            let t_respond = Instant::now();
-            let _ = respond(stream, &format!("CACHE miss\n{}", ok_line(&entry)));
-            span.stages.respond_us = elapsed_us(t_respond);
-            Outcome::OkCold {
+            let outcome = Outcome::OkCold {
                 degraded: entry.degraded,
-            }
+            };
+            (format!("CACHE miss\n{}", ok_line(&entry)), outcome)
         }
-        Err(e) if e.is_budget_stop() => {
-            span.stages.sched_us = elapsed_us(t_sched);
-            let _ = respond(
-                stream,
-                &format!("ERR deadline {}\n", one_line(&e.to_string())),
-            );
-            Outcome::Deadline
+        (Verb::Sched, Err((outcome, line))) => (line, outcome),
+        (Verb::Trace, answer) => {
+            // The event stream and summary precede the final status
+            // line, so a client can parse the response as: JSONL until a
+            // non-`{` line, one `TRACE end` summary, one `OK`/`ERR`.
+            let mut text = capture
+                .as_ref()
+                .map(|c| trace_frame(state, c, span.id))
+                .unwrap_or_default();
+            let outcome = match answer {
+                Ok(entry) => {
+                    text.push_str(&ok_line(&entry));
+                    Outcome::OkCold {
+                        degraded: entry.degraded,
+                    }
+                }
+                Err((outcome, line)) => {
+                    text.push_str(&line);
+                    outcome
+                }
+            };
+            (text, outcome)
         }
-        Err(e) => {
-            span.stages.sched_us = elapsed_us(t_sched);
-            let _ = respond(stream, &format!("ERR sched {}\n", one_line(&e.to_string())));
-            Outcome::Sched
-        }
+    };
+    let t_respond = Instant::now();
+    let _ = respond(stream, &text);
+    span.stages.respond_us = elapsed_us(t_respond);
+    outcome
+}
+
+/// `TRACE`'s retained events as JSONL — `{"event":...}` becomes
+/// `{"req":N,"event":...}` — followed by the `TRACE end` summary line.
+fn trace_frame(state: &ServerState, capture: &TraceCapture, req: u64) -> String {
+    let mut text = String::with_capacity(capture.events().len() * 48 + 128);
+    for event in capture.events() {
+        let json = event.to_json();
+        text.push_str(&format!("{{\"req\":{req},{}\n", &json[1..]));
     }
+    text.push_str(&format!(
+        "TRACE end events={} total={} truncated={}\n",
+        capture.events().len(),
+        capture.total(),
+        u8::from(capture.truncated()),
+    ));
+    if state.config.telemetry {
+        state
+            .telemetry
+            .add_trace_events(capture.events().len() as u64);
+    }
+    text
 }
 
 /// Parses the two wire payloads, answering `ERR malformed` itself on
@@ -1624,179 +1692,6 @@ fn parse_payloads(
         }
     };
     Some((kernel, arch))
-}
-
-/// `TRACE`: frames exactly like `SCHED` (plus `events=`/`full=`
-/// options), always bypasses the cache, schedules with a bounded
-/// [`TraceCapture`] attached, and streams the retained events back as
-/// JSONL — each line gains a leading `"req"` key — before a
-/// `TRACE end` summary and the final `OK`/`ERR` line.
-fn serve_trace<'a>(
-    state: &ServerState,
-    reader: &mut impl BufRead,
-    stream: &TcpStream,
-    options: impl Iterator<Item = &'a str>,
-    phase: &ReadPhase<'_>,
-    span: &mut RequestSpan,
-) -> Outcome {
-    let mut limit = state.config.step_limit;
-    let mut wall_ms = state.config.wall_ms;
-    let mut event_cap = state.config.trace_event_cap;
-    let mut full = false;
-    for opt in options {
-        if let Some(v) = opt.strip_prefix("limit=") {
-            match v.parse::<u64>() {
-                Ok(v) => limit = v,
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad limit= value\n");
-                    return Outcome::Malformed;
-                }
-            }
-        } else if let Some(v) = opt.strip_prefix("wall_ms=") {
-            match v.parse::<u64>() {
-                Ok(v) => wall_ms = Some(wall_ms.map_or(v, |server| server.min(v))),
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad wall_ms= value\n");
-                    return Outcome::Malformed;
-                }
-            }
-        } else if let Some(v) = opt.strip_prefix("events=") {
-            match v.parse::<usize>() {
-                // The client may tighten the server's event cap, never
-                // widen it — the cap is the worker-protection bound.
-                Ok(v) => event_cap = event_cap.min(v),
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad events= value\n");
-                    return Outcome::Malformed;
-                }
-            }
-        } else if opt == "full=1" {
-            full = true;
-        } else if opt == "full=0" {
-            full = false;
-        } else {
-            let _ = respond(
-                stream,
-                &format!("ERR malformed unknown option {}\n", one_line(opt)),
-            );
-            return Outcome::Malformed;
-        }
-    }
-    let limit = limit.clamp(1, state.config.max_step_limit.max(1));
-
-    let t_read = Instant::now();
-    let max = state.config.max_request_bytes;
-    let kernel_text = match read_section(reader, "KERNEL", max, phase) {
-        Ok(t) => t,
-        Err(detail) => {
-            let _ = respond(stream, &format!("ERR malformed {}\n", one_line(&detail)));
-            return Outcome::Malformed;
-        }
-    };
-    let arch_text = match read_section(reader, "ARCH", max, phase) {
-        Ok(t) => t,
-        Err(detail) => {
-            let _ = respond(stream, &format!("ERR malformed {}\n", one_line(&detail)));
-            return Outcome::Malformed;
-        }
-    };
-    match read_header_line(reader, 256, phase) {
-        Ok(Some(end)) if end.trim() == "END" => {}
-        Ok(_) | Err(_) => {
-            let _ = respond(stream, "ERR malformed missing END\n");
-            return Outcome::Malformed;
-        }
-    }
-    span.stages.read_us += elapsed_us(t_read);
-    let _ = stream.set_read_timeout(Some(state.config.io_timeout));
-
-    let t_parse = Instant::now();
-    let parsed = parse_payloads(stream, &kernel_text, &arch_text);
-    span.stages.parse_us = elapsed_us(t_parse);
-    let Some((kernel, arch)) = parsed else {
-        return Outcome::Malformed;
-    };
-    span.kernel = kernel.name().to_string();
-
-    // Cache deliberately bypassed: a trace of a warm hit would be
-    // empty, and the point of TRACE is the event stream.
-    let t_sched = Instant::now();
-    let token = CancelToken::new();
-    let budget = StepBudget::new(limit).with_cancel(token.clone());
-    let _guard = wall_ms.map(|ms| {
-        state
-            .watchdog
-            .watch(token.clone(), Instant::now() + Duration::from_millis(ms))
-    });
-    let mut capture = TraceCapture::capture(event_cap, full);
-    let (result, report) = schedule_kernel_anytime_traced(
-        &arch,
-        &kernel,
-        state.config.scheduler.clone(),
-        &RetryPolicy::default(),
-        &budget,
-        &mut capture,
-    );
-    span.rejects = capture.rejects();
-    span.deadline_events = capture.deadline_events();
-    span.rung = capture.rung();
-    span.attempts = report.attempts_spent;
-    span.degraded = report.degraded;
-    span.stages.sched_us = elapsed_us(t_sched);
-
-    // The event stream and summary precede the final status line, so a
-    // client can parse the response as: JSONL until a non-`{` line,
-    // one `TRACE end` summary, one `OK`/`ERR`.
-    let mut text = String::with_capacity(capture.events().len() * 48 + 128);
-    for event in capture.events() {
-        let json = event.to_json();
-        // `{"event":...}` becomes `{"req":N,"event":...}`.
-        text.push_str(&format!("{{\"req\":{},{}\n", span.id, &json[1..]));
-    }
-    text.push_str(&format!(
-        "TRACE end events={} total={} truncated={}\n",
-        capture.events().len(),
-        capture.total(),
-        u8::from(capture.truncated()),
-    ));
-    if state.config.telemetry {
-        state
-            .telemetry
-            .add_trace_events(capture.events().len() as u64);
-    }
-
-    let outcome = match result {
-        Ok(schedule) => {
-            span.ii = schedule.ii().unwrap_or(0);
-            if state.config.telemetry {
-                span.binding = explain::explain(&arch, &kernel, &schedule).binding.kind();
-            }
-            let entry = CacheEntry {
-                ii: schedule.ii().unwrap_or(0),
-                copies: schedule.num_copies() as u64,
-                max_registers: regalloc::analyze(&arch, &kernel, &schedule).max_required() as u64,
-                attempts: report.attempts_spent,
-                degraded: report.degraded,
-                limit,
-            };
-            text.push_str(&ok_line(&entry));
-            Outcome::OkCold {
-                degraded: entry.degraded,
-            }
-        }
-        Err(e) if e.is_budget_stop() => {
-            text.push_str(&format!("ERR deadline {}\n", one_line(&e.to_string())));
-            Outcome::Deadline
-        }
-        Err(e) => {
-            text.push_str(&format!("ERR sched {}\n", one_line(&e.to_string())));
-            Outcome::Sched
-        }
-    };
-    let t_respond = Instant::now();
-    let _ = respond(stream, &text);
-    span.stages.respond_us = elapsed_us(t_respond);
-    outcome
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 //! The `csched` command line: bad input exits 2 with a usage line before
-//! any work starts, and `--help` prints usage and exits 0.
+//! any work starts, `--help` prints usage and exits 0, and a reader that
+//! closes stdout early ends the command quietly.
 
-use std::process::{Command, Output};
+use std::io::Read as _;
+use std::process::{Command, Output, Stdio};
 
 fn csched(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_csched"))
@@ -138,4 +140,25 @@ fn chaos_takes_the_shared_machine_names() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    // About 420 KB of JSON: far past a 64 KiB pipe buffer, so the writer
+    // is still writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_csched"))
+        .args(["table1", "--metrics-json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    let mut head = [0u8; 100];
+    stdout.read_exact(&mut head).unwrap();
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

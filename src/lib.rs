@@ -84,12 +84,13 @@
 //!
 //! The scheduler streams typed events (placement attempts and rejects
 //! with reasons, stub allocation and revision, route closing, copy
-//! insertion) into any [`core::TraceSink`], and a finished schedule
+//! insertion) into any [`core::TraceSink`] attached to a
+//! [`core::ScheduleRequest`], and a finished schedule
 //! summarises into [`core::ScheduleMetrics`] — achieved II vs its
 //! lower bounds, copies per communication, and per-resource occupancy:
 //!
 //! ```
-//! use csched::core::{schedule_kernel_traced, RingBufferSink, ScheduleMetrics};
+//! use csched::core::{RingBufferSink, ScheduleMetrics, ScheduleRequest};
 //! # let kernel = csched::ir::text::parse(r#"
 //! # kernel "triple" {
 //! #   region in disjoint
@@ -105,7 +106,12 @@
 //! # "#)?;
 //! let arch = csched::machine::imagine::distributed();
 //! let mut sink = RingBufferSink::new(1024);
-//! let schedule = schedule_kernel_traced(&arch, &kernel, Default::default(), &mut sink)?;
+//! let (result, _report) = ScheduleRequest {
+//!     sink: Some(&mut sink),
+//!     ..ScheduleRequest::default()
+//! }
+//! .run(&arch, &kernel);
+//! let schedule = result?;
 //! assert!(sink.total() > 0);
 //! let metrics = ScheduleMetrics::compute(&arch, &kernel, &schedule);
 //! assert_eq!(metrics.ii, schedule.ii());

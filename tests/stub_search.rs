@@ -10,8 +10,8 @@
 //! (`closing_first` off) still yields valid, exact schedules with copies.
 
 use csched::core::{
-    schedule_kernel, schedule_kernel_traced, validate, ResourceTable, RingBufferSink, SOpId,
-    Schedule, SchedulerConfig, TableMode,
+    schedule_kernel, validate, ResourceTable, RingBufferSink, SOpId, Schedule, ScheduleRequest,
+    SchedulerConfig, TableMode,
 };
 use csched::machine::{imagine, toy, Architecture, Resource, ResourceMap, WriteStub};
 
@@ -157,8 +157,14 @@ fn tracing_only_observes_the_search() {
     let w = csched::kernels::by_name("DCT").expect("known kernel");
     let plain = schedule(&arch, "DCT", SchedulerConfig::default());
     let mut sink = RingBufferSink::new(64);
-    let traced = schedule_kernel_traced(&arch, &w.kernel, SchedulerConfig::default(), &mut sink)
-        .unwrap_or_else(|e| panic!("DCT on distributed: {e}"));
+    let traced = ScheduleRequest {
+        config: SchedulerConfig::default(),
+        sink: Some(&mut sink),
+        ..ScheduleRequest::default()
+    }
+    .run(&arch, &w.kernel)
+    .0
+    .unwrap_or_else(|e| panic!("DCT on distributed: {e}"));
     assert!(!sink.is_empty());
     assert_eq!(plain.stats(), traced.stats());
     assert_eq!(
